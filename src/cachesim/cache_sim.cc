@@ -57,6 +57,40 @@ CacheArray::reset()
     missCount = 0;
 }
 
+void
+CacheArray::advanceStampForTest(uint32_t value)
+{
+    if (value < stamp)
+        panic("CacheArray::advanceStampForTest: clock would go back");
+    stamp = value;
+}
+
+void
+CacheArray::rebase()
+{
+    std::vector<uint32_t> order(wayCount);
+    uint32_t top = 0;
+    for (size_t set = 0; set < setCount; ++set) {
+        uint32_t *setAges = &ages[set * wayCount];
+        // Valid ages are distinct, so sorting them gives each way's
+        // rank; invalid ways (age 0) sort first and stay 0.
+        order.assign(setAges, setAges + wayCount);
+        std::sort(order.begin(), order.end());
+        const auto firstValid = std::upper_bound(
+            order.begin(), order.end(), uint32_t{0});
+        for (size_t way = 0; way < wayCount; ++way) {
+            if (setAges[way] == 0)
+                continue;
+            const auto rank = std::lower_bound(firstValid, order.end(),
+                                               setAges[way]) -
+                firstValid + 1;
+            setAges[way] = static_cast<uint32_t>(rank);
+            top = std::max(top, setAges[way]);
+        }
+    }
+    stamp = top;
+}
+
 TlbArray::TlbArray(int entries, int page_bytes)
     : entryCount(static_cast<size_t>(entries)), accessCount(0),
       missCount(0), stamp(0), liveCount(0)

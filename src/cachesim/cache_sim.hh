@@ -13,7 +13,10 @@
  * vectors (no per-set node containers): LRU ordering is recovered by
  * comparing ages, which makes hit/miss decisions identical to an
  * explicit recency list while doing no allocation or element
- * shuffling on the access path.
+ * shuffling on the access path. Ages are 32-bit stamps; before the
+ * access clock wraps, every set's ages are re-ranked in place (see
+ * CacheArray::rebase), which keeps each set's recency order, and so
+ * every hit, miss and victim, exact.
  */
 
 #ifndef LHR_CACHESIM_CACHE_SIM_HH
@@ -51,8 +54,10 @@ class CacheArray
         const size_t set = static_cast<size_t>(line & setMask);
         const uint64_t tag = line >> setShift;
 
+        if (stamp == maxStamp) [[unlikely]]
+            rebase();
         uint64_t *setTags = &tags[set * wayCount];
-        uint64_t *setAges = &ages[set * wayCount];
+        uint32_t *setAges = &ages[set * wayCount];
         // Hit scan only; the victim scan below runs just on misses.
         for (size_t way = 0; way < wayCount; ++way) {
             if (setTags[way] == tag && setAges[way] != 0) {
@@ -65,7 +70,7 @@ class CacheArray
         // evict the least recently used one (first minimum).
         ++missCount;
         size_t victim = 0;
-        uint64_t oldest = setAges[0];
+        uint32_t oldest = setAges[0];
         for (size_t way = 1; way < wayCount; ++way) {
             if (setAges[way] < oldest) {
                 oldest = setAges[way];
@@ -87,7 +92,27 @@ class CacheArray
     /** Invalidate everything and clear statistics. */
     void reset();
 
+    /**
+     * Test seam: move the access clock forward to `value`, e.g. to
+     * just below the wrap point so a short stream crosses a rebase.
+     * Recency order is unchanged because every stored age stays at
+     * or below the clock. Panics if `value` is behind the clock.
+     */
+    void advanceStampForTest(uint32_t value);
+
   private:
+    /** The last stamp handed out before rebase() restarts the clock. */
+    static constexpr uint32_t maxStamp = UINT32_MAX;
+
+    /**
+     * Replace each set's valid ages by their rank within the set
+     * (1 = least recent; invalid ways keep 0) and restart the clock
+     * at the largest rank. Only the order of ages inside a set
+     * decides hits and victims, so the array behaves exactly as if
+     * the clock had never wrapped.
+     */
+    void rebase();
+
     size_t wayCount;
     size_t setCount;
     unsigned lineShift;          ///< log2(line bytes)
@@ -95,11 +120,11 @@ class CacheArray
     uint64_t setMask;            ///< setCount - 1
     uint64_t accessCount;
     uint64_t missCount;
-    uint64_t stamp;              ///< monotonic access clock
+    uint32_t stamp;              ///< access clock, rebased at maxStamp
     /** setCount x wayCount tags, row-major by set. */
     std::vector<uint64_t> tags;
     /** Last-touch stamp per way; 0 marks an invalid way. */
-    std::vector<uint64_t> ages;
+    std::vector<uint32_t> ages;
 };
 
 /** A fully-associative LRU TLB. */

@@ -16,8 +16,9 @@ Lab::Lab(uint64_t seed)
 const ReferenceSet &
 Lab::reference()
 {
-    if (!referenceSet)
+    std::call_once(referenceOnce, [this] {
         referenceSet = std::make_unique<ReferenceSet>(experimentRunner);
+    });
     return *referenceSet;
 }
 

@@ -19,6 +19,7 @@
 #define LHR_CORE_LAB_HH
 
 #include <memory>
+#include <mutex>
 
 #include "analysis/features.hh"
 #include "analysis/historical.hh"
@@ -47,7 +48,7 @@ class Lab
     /** The seed this laboratory was constructed with. */
     uint64_t seed() const { return labSeed; }
 
-    /** The four-machine reference set (built lazily). */
+    /** The four-machine reference set (built lazily, once). */
     const ReferenceSet &reference();
 
     /** Measure one benchmark on one configuration. */
@@ -98,6 +99,7 @@ class Lab
   private:
     uint64_t labSeed;
     ExperimentRunner experimentRunner;
+    std::once_flag referenceOnce;
     std::unique_ptr<ReferenceSet> referenceSet;
 };
 

@@ -9,9 +9,14 @@
  * out-of-order window (or strict in-order issue for Bonnell), load
  * latencies probed from the structural cache simulator, and branch
  * misprediction flushes from a simulated predictor. The two layers
- * cross-validate in bench/ablation_pipesim and
+ * cross-validate in `lhrlab run ablation_pipesim` and
  * tests/test_pipesim.cc, the way detailed and functional modes of a
  * production simulator keep each other honest.
+ *
+ * A benchmark's micro-op stream and dependence draws depend only on
+ * (benchmark, seed), not on the processor, so PipelineSim::runLanes
+ * generates them once and drives several simulators ("lanes") from
+ * the same blocks; PipelineSim::run is its one-lane case.
  */
 
 #ifndef LHR_PIPESIM_PIPELINE_HH
@@ -26,6 +31,8 @@
 
 namespace lhr
 {
+
+class ThreadPool;
 
 /** Pipeline geometry derived from a processor at a clock. */
 struct PipelineConfig
@@ -93,7 +100,28 @@ class PipelineSim
     PipelineResult run(const Benchmark &bench, uint64_t instructions,
                        uint64_t seed, uint64_t warmup = 100000);
 
+    /**
+     * Issue one benchmark's trace through several simulators. The
+     * trace and the dependence draws are generated once per block
+     * and shared; each lane keeps its own caches, predictor,
+     * completion ring and counters. Result k is bit-identical to
+     * sims[k]->run(bench, instructions, seed, warmup).
+     *
+     * @param sims distinct simulators, one per lane
+     * @param pool when non-null, the lanes consume each block
+     *        concurrently on the pool while the calling thread
+     *        generates the next one; the pool must have no other
+     *        work in flight. Null steps the lanes in lockstep on
+     *        the calling thread.
+     */
+    static std::vector<PipelineResult> runLanes(
+        const std::vector<PipelineSim *> &sims, const Benchmark &bench,
+        uint64_t instructions, uint64_t seed, uint64_t warmup = 100000,
+        ThreadPool *pool = nullptr);
+
   private:
+    class Lane;
+
     /** Load-to-use latency of one access, probing the caches. */
     int loadLatency(uint64_t addr);
 

@@ -9,6 +9,7 @@
 #include "study/builtin.hh"
 
 #include <cmath>
+#include <optional>
 
 #include "core/lab.hh"
 #include "counters/hwcounters.hh"
@@ -24,6 +25,7 @@
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
+#include "util/thread_pool.hh"
 
 namespace lhr
 {
@@ -155,20 +157,43 @@ runAblationPipesim(Lab &, ReportContext &ctx)
     // stack; 3M instructions tightens the IPC estimate an order of
     // magnitude over the old 300k cap.
     const uint64_t instructions = 3000000;
+    const uint64_t seed = 99;
+    const std::vector<std::string> procIds = {
+        "i7 (45)", "C2D (65)", "Atom (45)", "Pentium4 (130)"};
+    const std::vector<std::string> benchNames = {
+        "hmmer", "gcc", "mcf", "xalan", "povray"};
     Sink &sink = ctx.out();
+
+    // Each benchmark's trace drives all four processors as lanes of
+    // one run; with more than one job the lanes run concurrently.
+    std::optional<ThreadPool> pool;
+    if (ctx.jobs() > 1)
+        pool.emplace(std::min(ctx.jobs(), static_cast<int>(procIds.size())));
+    std::vector<std::vector<PipelineResult>> byBench;
+    for (const std::string &name : benchNames) {
+        std::vector<PipelineSim> sims;
+        sims.reserve(procIds.size());
+        for (const std::string &id : procIds) {
+            const auto &spec = processorById(id);
+            sims.emplace_back(PipelineConfig::of(spec, spec.stockClockGhz),
+                              structuralLevels(spec));
+        }
+        std::vector<PipelineSim *> lanes;
+        lanes.reserve(sims.size());
+        for (PipelineSim &sim : sims)
+            lanes.push_back(&sim);
+        byBench.push_back(PipelineSim::runLanes(
+            lanes, benchmarkByName(name), instructions, seed, 100000,
+            pool ? &*pool : nullptr));
+    }
 
     sink.prose(msgOf(
         "Ablation: micro-op pipeline simulation vs analytic CPI\n(",
         instructions, "-instruction traces, IPC per thread)\n\n"));
 
-    for (const char *procId :
-         {"i7 (45)", "C2D (65)", "Atom (45)", "Pentium4 (130)"}) {
-        const auto &spec = processorById(procId);
+    for (size_t p = 0; p < procIds.size(); ++p) {
+        const auto &spec = processorById(procIds[p]);
         const PerfModel analytic(spec);
-        const auto pipeCfg =
-            PipelineConfig::of(spec, spec.stockClockGhz);
-
-        const auto levels = structuralLevels(spec);
 
         sink.prose(spec.id + " @ " +
                    formatFixed(spec.stockClockGhz, 2) + " GHz:\n");
@@ -176,11 +201,9 @@ runAblationPipesim(Lab &, ReportContext &ctx)
                         {leftColumn("Benchmark"), {"IPC pipe"},
                          {"IPC analytic"}, {"ratio"}, {"mem wait %"},
                          {"branch wait %"}});
-        for (const char *name :
-             {"hmmer", "gcc", "mcf", "xalan", "povray"}) {
-            const auto &bench = benchmarkByName(name);
-            PipelineSim pipe(pipeCfg, levels);
-            const auto r = pipe.run(bench, instructions, 99);
+        for (size_t b = 0; b < benchNames.size(); ++b) {
+            const auto &bench = benchmarkByName(benchNames[b]);
+            const PipelineResult &r = byBench[b][p];
             const double analyticIpc =
                 analytic.threadCpi(bench, spec.stockClockGhz, 1, 1.0)
                     .ipc();

@@ -13,6 +13,7 @@
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
+#include "util/thread_pool.hh"
 
 namespace lhr
 {
@@ -205,9 +206,12 @@ unionGrid(const std::vector<const Study *> &studies)
 }
 
 void
-runStudy(Lab &lab, const Study &study, Sink &sink, OutputFormat format)
+runStudy(Lab &lab, const Study &study, Sink &sink, OutputFormat format,
+         int threads)
 {
-    ReportContext ctx(sink, format);
+    ReportContext ctx(sink, format,
+                      threads > 0 ? threads
+                                  : ThreadPool::defaultThreadCount());
     study.run(lab, ctx);
     sink.close();
 }
@@ -259,7 +263,7 @@ runStudies(Lab &lab, const std::vector<const Study *> &studies,
 
         const auto sink =
             makeSink(*os, options.format, *study, lab.seed());
-        runStudy(lab, *study, *sink, options.format);
+        runStudy(lab, *study, *sink, options.format, options.threads);
 
         if (!path.empty()) {
             std::cerr << "[" << index << "/" << studies.size() << "] "

@@ -57,8 +57,8 @@ const char *outputFormatExtension(OutputFormat format);
 class ReportContext
 {
   public:
-    ReportContext(Sink &sink, OutputFormat format)
-        : sinkRef(sink), fmt(format)
+    ReportContext(Sink &sink, OutputFormat format, int jobs)
+        : sinkRef(sink), fmt(format), jobCount(jobs)
     {
     }
 
@@ -68,9 +68,17 @@ class ReportContext
     /** The format the sink renders (rarely needed by studies). */
     OutputFormat format() const { return fmt; }
 
+    /**
+     * Worker threads the study may use for its own compute (the
+     * run's --jobs, resolved; at least 1). Output must not depend
+     * on it.
+     */
+    int jobs() const { return jobCount; }
+
   private:
     Sink &sinkRef;
     OutputFormat fmt;
+    int jobCount;
 };
 
 /** One reproduced figure, table, or ablation. */
@@ -132,7 +140,10 @@ struct StudyOptions
     /** Artifact directory; empty writes to stdout. */
     std::string outDir;
 
-    /** Prewarm worker threads; 0 = ThreadPool default. */
+    /**
+     * Worker threads of the prewarm pass and of studies that
+     * parallelize their own compute; 0 = ThreadPool default.
+     */
     int threads = 0;
 
     /** Skip the prewarm pass (measure serially on demand). */
@@ -146,9 +157,12 @@ struct StudyOptions
 std::vector<MachineConfig> unionGrid(
     const std::vector<const Study *> &studies);
 
-/** Run one study into an explicit sink (no prewarm; test seam). */
+/**
+ * Run one study into an explicit sink (no prewarm; test seam).
+ * `threads` becomes ReportContext::jobs(); 0 = ThreadPool default.
+ */
 void runStudy(Lab &lab, const Study &study, Sink &sink,
-              OutputFormat format = OutputFormat::Text);
+              OutputFormat format = OutputFormat::Text, int threads = 0);
 
 /**
  * Run studies in order: one union-grid prewarm, then each study

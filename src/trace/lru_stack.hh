@@ -76,14 +76,17 @@ class LruStack
         const size_t head = frontHead & ringMask;
         const size_t idx = (head + depth - 1) & ringMask;
         const uint64_t block = frontBuf[idx];
+        // The destination is formed from data(): at head == ringMask
+        // it is one past the end (with a zero-length slide), which
+        // operator[] may not index.
         if (idx >= head) {
-            std::memmove(&frontBuf[head + 1], &frontBuf[head],
+            std::memmove(frontBuf.data() + head + 1, &frontBuf[head],
                          (idx - head) * sizeof(uint64_t));
         } else {
             std::memmove(&frontBuf[1], &frontBuf[0],
                          idx * sizeof(uint64_t));
             frontBuf[0] = frontBuf[frontCapacity - 1];
-            std::memmove(&frontBuf[head + 1], &frontBuf[head],
+            std::memmove(frontBuf.data() + head + 1, &frontBuf[head],
                          (frontCapacity - 1 - head) *
                              sizeof(uint64_t));
         }

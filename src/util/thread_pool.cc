@@ -8,6 +8,14 @@
 namespace lhr
 {
 
+namespace
+{
+
+/** The pool whose worker is running on this thread, if any. */
+thread_local const ThreadPool *currentPool = nullptr;
+
+} // namespace
+
 int
 ThreadPool::defaultThreadCount()
 {
@@ -114,6 +122,7 @@ ThreadPool::popTask(size_t index, std::function<void()> &task)
 void
 ThreadPool::workerLoop(size_t index)
 {
+    currentPool = this;
     for (;;) {
         std::function<void()> task;
         if (popTask(index, task)) {
@@ -177,6 +186,23 @@ ThreadPool::wait()
 void
 ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
 {
+    if (currentPool == this) {
+        // Called from one of our own tasks: wait() would count that
+        // task as pending and never return, so run the iterations
+        // here, with wait()'s run-all-then-rethrow-first contract.
+        std::exception_ptr error;
+        for (size_t i = 0; i < n; ++i) {
+            try {
+                fn(i);
+            } catch (...) {
+                if (!error)
+                    error = std::current_exception();
+            }
+        }
+        if (error)
+            std::rethrow_exception(error);
+        return;
+    }
     for (size_t i = 0; i < n; ++i)
         submit([&fn, i] { fn(i); });
     wait();

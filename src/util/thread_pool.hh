@@ -77,6 +77,9 @@ class ThreadPool
      * Run fn(0) .. fn(n-1) across the pool and wait for all of them.
      * Iterations must be independent; they run in arbitrary order on
      * arbitrary workers. Rethrows like wait() if an iteration threw.
+     * Called from inside one of this pool's own tasks, it runs the
+     * iterations inline on that worker instead (waiting on the pool
+     * from a task it is running would never return).
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 

@@ -105,6 +105,45 @@ TEST(CacheArray, ResetClearsEverything)
     EXPECT_FALSE(cache.access(0x1000)); // cold again
 }
 
+TEST(CacheArray, AgeRebaseKeepsEveryHitAndMiss)
+{
+    // 4KB, 4-way, 64B lines: 16 sets. A footprint of 4x the
+    // capacity with some reuse keeps every set evicting. The
+    // rebased array's clock is pushed to just below the 32-bit
+    // wrap every 3000 accesses, so the stream crosses the rebase
+    // several times; the reference array's clock never gets near it.
+    CacheArray rebased(4.0, 4);
+    CacheArray reference(4.0, 4);
+    Rng rng(20261017);
+    const uint64_t lines = 4 * 64;
+    int crossings = 0;
+    for (int i = 0; i < 20000; ++i) {
+        if (i % 3000 == 0) {
+            rebased.advanceStampForTest(UINT32_MAX - 500);
+            ++crossings;
+        }
+        // Half the accesses hit a small hot set, half roam.
+        const uint64_t line = rng.uniform() < 0.5
+            ? static_cast<uint64_t>(rng.uniform() * 24)
+            : static_cast<uint64_t>(rng.uniform() * lines);
+        const uint64_t addr = line * 64 + (i % 64);
+        ASSERT_EQ(rebased.access(addr), reference.access(addr))
+            << "access " << i;
+    }
+    EXPECT_EQ(crossings, 7);
+    EXPECT_EQ(rebased.misses(), reference.misses());
+    EXPECT_GT(reference.misses(), 5000u);
+    EXPECT_LT(reference.misses(), 19000u);
+}
+
+TEST(CacheArray, StampSeamNeverRunsTheClockBack)
+{
+    CacheArray cache(4.0, 4);
+    cache.advanceStampForTest(100);
+    cache.advanceStampForTest(100);
+    EXPECT_DEATH(cache.advanceStampForTest(99), "clock would go back");
+}
+
 TEST(Tlb, HitAndMissAccounting)
 {
     TlbArray tlb(4);

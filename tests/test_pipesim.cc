@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "counters/hwcounters.hh"
 #include "cpu/perf_model.hh"
 #include "pipesim/pipeline.hh"
+#include "util/thread_pool.hh"
 
 namespace lhr
 {
@@ -164,6 +168,67 @@ TEST(PipelineSim, WindowAndOrderingMatterForMemoryBoundCode)
     const double hmmerBig =
         cpuBig.run(benchmarkByName("hmmer"), 200000, 5).ipc;
     EXPECT_GT(hmmerBig, 1.1 * hmmerSmall);
+}
+
+TEST(PipelineSim, SharedTraceLanesMatchIndependentRuns)
+{
+    // ablation_pipesim's processors (Atom is an in-order Bonnell
+    // lane) and benchmarks, at a short length whose warmup and total
+    // are multiples of neither block size. Every lane of a shared-
+    // trace run, lockstep or concurrent, must be bit-equal to an
+    // independent run of its own simulator.
+    const std::vector<const char *> procs = {"i7 (45)", "C2D (65)",
+                                             "Atom (45)", "Pentium4 (130)"};
+    const uint64_t instructions = 20000;
+    const uint64_t warmup = 5000;
+    const uint64_t seed = 99;
+    auto makeSims = [&] {
+        std::vector<PipelineSim> sims;
+        for (const char *id : procs) {
+            const auto &spec = processorById(id);
+            sims.emplace_back(PipelineConfig::of(spec, spec.stockClockGhz),
+                              levelsOf(spec));
+        }
+        return sims;
+    };
+    ThreadPool one(1), two(2), four(4);
+    for (const char *name : {"hmmer", "gcc", "mcf", "xalan", "povray"}) {
+        const Benchmark &bench = benchmarkByName(name);
+        std::vector<PipelineResult> expected;
+        for (PipelineSim &sim : makeSims())
+            expected.push_back(sim.run(bench, instructions, seed, warmup));
+
+        for (ThreadPool *pool : {static_cast<ThreadPool *>(nullptr),
+                                 &one, &two, &four}) {
+            std::vector<PipelineSim> sims = makeSims();
+            std::vector<PipelineSim *> lanes;
+            for (PipelineSim &sim : sims)
+                lanes.push_back(&sim);
+            const auto got = PipelineSim::runLanes(
+                lanes, bench, instructions, seed, warmup, pool);
+            ASSERT_EQ(got.size(), procs.size());
+            const int threads = pool ? pool->threadCount() : 0;
+            for (size_t k = 0; k < procs.size(); ++k) {
+                SCOPED_TRACE(std::string(name) + " on " + procs[k] +
+                             ", pool threads " + std::to_string(threads));
+                EXPECT_EQ(got[k].instructions, instructions);
+                EXPECT_EQ(got[k].cycles, expected[k].cycles);
+                EXPECT_EQ(got[k].ipc, expected[k].ipc);
+                EXPECT_EQ(got[k].memStallShare, expected[k].memStallShare);
+                EXPECT_EQ(got[k].branchStallShare,
+                          expected[k].branchStallShare);
+            }
+        }
+    }
+}
+
+TEST(PipelineSim, LanesMustBeDistinct)
+{
+    const auto &i7 = processorById("i7 (45)");
+    PipelineSim pipe(PipelineConfig::of(i7, 2.667), levelsOf(i7));
+    EXPECT_DEATH(PipelineSim::runLanes({&pipe, &pipe},
+                                       benchmarkByName("gcc"), 1000, 1),
+                 "appears twice");
 }
 
 TEST(PipelineSim, MemoryBoundHasHigherMemWaitShare)

@@ -12,10 +12,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/lab.hh"
 #include "sweep/sweep.hh"
@@ -53,6 +56,43 @@ testBenchmarks()
     const auto &all = allBenchmarks();
     // First ten spans native and Java workloads.
     return {all.begin(), all.begin() + 10};
+}
+
+/**
+ * Nested parallelFor on a 2-thread pool: a 2x4 nest must run every
+ * inner iteration once, and an inner iteration that throws must let
+ * its siblings run and then surface from the outer call.
+ */
+bool
+nestedParallelForWorks()
+{
+    ThreadPool pool(2);
+    std::vector<std::atomic<int>> hits(8);
+    pool.parallelFor(2, [&](size_t outer) {
+        pool.parallelFor(4, [&, outer](size_t inner) {
+            hits[outer * 4 + inner].fetch_add(1);
+        });
+    });
+    bool ok = std::all_of(hits.begin(), hits.end(),
+                          [](const auto &hit) { return hit.load() == 1; });
+
+    std::atomic<int> ran{0};
+    bool rethrew = false;
+    try {
+        pool.parallelFor(1, [&](size_t) {
+            pool.parallelFor(6, [&](size_t i) {
+                ran.fetch_add(1);
+                if (i == 2)
+                    throw std::runtime_error("inner 2");
+            });
+        });
+    } catch (const std::runtime_error &) {
+        rethrew = true;
+    }
+    ok = ok && rethrew && ran.load() == 6;
+    if (!ok)
+        std::fprintf(stderr, "nested parallelFor: wrong iterations\n");
+    return ok;
 }
 
 } // namespace
@@ -139,6 +179,45 @@ TEST(ThreadPool, ParallelForRethrowsToo)
                                               "iteration 13");
                                   }),
                  std::runtime_error);
+}
+
+TEST(ThreadPool, NestedParallelForFromAWorkerCompletes)
+{
+    // parallelFor called from inside one of the pool's own tasks
+    // used to wait for a pending count that included the calling
+    // task, and hung. The nests run in a death-test child under a
+    // 5 s alarm, so a regression fails instead of hanging the suite.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            alarm(5);
+            std::exit(nestedParallelForWorks() ? 0 : 1);
+        },
+        testing::ExitedWithCode(0), "");
+}
+
+TEST(Lab, ReferenceIsBuiltOnceForConcurrentCallers)
+{
+    Lab lab;
+    constexpr int callers = 8;
+    std::vector<const ReferenceSet *> seen(callers, nullptr);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < callers; ++i) {
+        threads.emplace_back([&, i] {
+            // Line every caller up on the lazy build.
+            ready.fetch_add(1);
+            while (ready.load() < callers)
+                std::this_thread::yield();
+            seen[i] = &lab.reference();
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    ASSERT_NE(seen[0], nullptr);
+    for (int i = 0; i < callers; ++i)
+        EXPECT_EQ(seen[i], seen[0]) << "caller " << i;
+    EXPECT_EQ(&lab.reference(), seen[0]);
 }
 
 TEST(ThreadPool, CancelIsCooperativeAndResettable)
