@@ -7,7 +7,7 @@
  * LRU replacement, access by access. It exists to (a) characterize
  * synthetic traces the way hardware event counters characterize real
  * executions, and (b) cross-validate the analytic curves
- * (bench/ablation_tracesim).
+ * (`lhrlab run ablation_tracesim`).
  *
  * The arrays store tags and last-touch ages in flat contiguous
  * vectors (no per-set node containers): LRU ordering is recovered by

@@ -64,21 +64,10 @@ PerfModel::coreIpc(const Benchmark &bench, double clock_ghz,
     return std::min(threads_on_core * ipc1, filled);
 }
 
-/**
- * The one per-cell evaluation body. Both evaluate() and
- * evaluateBatch() run cells through here, so the floating-point
- * operation sequence per cell is identical on the two paths — the
- * bit-identity contract of the sweep's batch fill mode.
- *
- * The serial/parallel core IPC computations inline coreIpc() (same
- * expressions, same order) so the parallel-phase CPI stack is
- * available as an output instead of being folded away.
- */
-void
-PerfModel::evaluateLane(const Benchmark &bench, const MachineConfig &cfg,
-                        double clock_ghz, double work_instructions,
-                        int app_threads, double *core_util,
-                        LaneResult &out) const
+PerfResult
+PerfModel::evaluate(const Benchmark &bench, const MachineConfig &cfg,
+                    double clock_ghz, double work_instructions,
+                    int app_threads) const
 {
     if (work_instructions <= 0.0)
         panic("PerfModel::evaluate: non-positive work");
@@ -95,26 +84,14 @@ PerfModel::evaluateLane(const Benchmark &bench, const MachineConfig &cfg,
 
     const double hz = clock_ghz * 1e9;
 
-    // Serial phase: one thread, one active core. (coreIpc at one
-    // thread is the stack's own IPC.)
+    // Serial phase: one thread, one active core.
     const auto serialTraffic = caches.evaluate(bench.miss, 1.0, 1.0);
-    const double serialIpc =
-        threadCpi(bench, clock_ghz, 1, 1.0).ipc();
+    const double serialIpc = coreIpc(bench, clock_ghz, 1, 1.0);
     const double serialRate = serialIpc * hz * processor.perfCal;
 
     // Parallel phase: all threads running.
-    const CpiStack parallelStack =
-        threadCpi(bench, clock_ghz, threadsPerCore, coresUsed);
-    double parallelCoreIpc = parallelStack.ipc();
-    if (threadsPerCore > 1) {
-        // The second thread fills a smtQuality share of the idle
-        // issue slots (coreIpc()'s SMT composition, inlined).
-        const double effWidth = ua.issueWidth * ua.issueEfficiency;
-        const double filled = parallelCoreIpc +
-            ua.smtQuality * std::max(0.0, effWidth - parallelCoreIpc);
-        parallelCoreIpc =
-            std::min(threadsPerCore * parallelCoreIpc, filled);
-    }
+    const double parallelCoreIpc =
+        coreIpc(bench, clock_ghz, threadsPerCore, coresUsed);
     // Synchronization and scheduling overhead grows mildly with the
     // number of threads.
     const double syncFactor = 1.0 / (1.0 + 0.05 * (threads - 1));
@@ -134,111 +111,37 @@ PerfModel::evaluateLane(const Benchmark &bench, const MachineConfig &cfg,
     const double p = threads > 1 ? bench.parallelFraction : 0.0;
     const double serialTime = work_instructions * (1.0 - p) / serialRate;
     const double parallelTime = work_instructions * p / parallelRate;
-    const double timeSec = serialTime + parallelTime;
 
-    out.timeSec = timeSec;
-    out.aggregateIps = work_instructions / timeSec;
-    out.coresUsed = coresUsed;
-    out.threadsPerCore = threadsPerCore;
-    out.bandwidthThrottle = throttle;
-    out.parallelCpi = parallelStack;
+    PerfResult result;
+    result.timeSec = serialTime + parallelTime;
+    result.aggregateIps = work_instructions / result.timeSec;
+    result.coresUsed = coresUsed;
+    result.threadsPerCore = threadsPerCore;
+    result.bandwidthThrottle = throttle;
 
     const double width = ua.issueWidth;
     const double serialUtil = serialIpc / width;
     const double parallelUtil = parallelCoreIpc * syncFactor *
         throttle / width;
-    for (int core = 0; core < cfg.enabledCores; ++core)
-        core_util[core] = 0.0;
+    result.coreUtilization.assign(
+        cfg.enabledCores > 0 ? cfg.enabledCores : 0, 0.0);
     for (int core = 0; core < coresUsed; ++core) {
         const double active =
             (core == 0 ? serialTime * serialUtil : 0.0) +
             parallelTime * parallelUtil;
-        core_util[core] = active / timeSec;
+        result.coreUtilization[core] = active / result.timeSec;
     }
 
     const double serialGBs = serialRate *
         serialTraffic.dramMpki / 1000.0 * DramModel::lineBytes / 1e9;
-    out.dramGBs = (serialTime * serialGBs +
-                   parallelTime * requestedGBs * throttle) / timeSec;
+    result.dramGBs = (serialTime * serialGBs +
+                      parallelTime * requestedGBs * throttle) /
+        result.timeSec;
 
-    const double llcAccessesPerSec = out.aggregateIps *
+    const double llcAccessesPerSec = result.aggregateIps *
         parallelTraffic.l1Mpki / 1000.0;
-    out.llcActivity = std::min(1.0, llcAccessesPerSec / 2e8);
-}
-
-PerfResult
-PerfModel::evaluate(const Benchmark &bench, const MachineConfig &cfg,
-                    double clock_ghz, double work_instructions,
-                    int app_threads) const
-{
-    PerfResult result;
-    result.coreUtilization.resize(
-        cfg.enabledCores > 0 ? cfg.enabledCores : 0);
-    LaneResult lane;
-    evaluateLane(bench, cfg, clock_ghz, work_instructions, app_threads,
-                 result.coreUtilization.data(), lane);
-    result.timeSec = lane.timeSec;
-    result.aggregateIps = lane.aggregateIps;
-    result.coresUsed = lane.coresUsed;
-    result.threadsPerCore = lane.threadsPerCore;
-    result.dramGBs = lane.dramGBs;
-    result.llcActivity = lane.llcActivity;
-    result.bandwidthThrottle = lane.bandwidthThrottle;
+    result.llcActivity = std::min(1.0, llcAccessesPerSec / 2e8);
     return result;
-}
-
-PerfBatch
-PerfModel::evaluateBatch(const Benchmark &bench, const ConfigBatch &batch,
-                         const double *clock_ghz,
-                         double work_instructions, int app_threads,
-                         Arena &arena) const
-{
-    if (batch.spec != &processor)
-        panic("PerfModel::evaluateBatch: batch is for a different "
-              "processor");
-    const size_t n = batch.size();
-    if (clock_ghz == nullptr)
-        clock_ghz = batch.clockGhz.data();
-
-    PerfBatch out;
-    out.lanes = n;
-    out.timeSec = arena.alloc<double>(n);
-    out.aggregateIps = arena.alloc<double>(n);
-    out.coresUsed = arena.alloc<int>(n);
-    out.threadsPerCore = arena.alloc<int>(n);
-    out.dramGBs = arena.alloc<double>(n);
-    out.llcActivity = arena.alloc<double>(n);
-    out.bandwidthThrottle = arena.alloc<double>(n);
-    out.cpiBase = arena.alloc<double>(n);
-    out.cpiBranch = arena.alloc<double>(n);
-    out.cpiMemory = arena.alloc<double>(n);
-    out.utilOffset = arena.alloc<size_t>(n + 1);
-
-    size_t utilTotal = 0;
-    for (size_t i = 0; i < n; ++i) {
-        out.utilOffset[i] = utilTotal;
-        utilTotal += static_cast<size_t>(batch.enabledCores[i]);
-    }
-    out.utilOffset[n] = utilTotal;
-    out.coreUtil = arena.alloc<double>(utilTotal);
-
-    for (size_t i = 0; i < n; ++i) {
-        LaneResult lane;
-        evaluateLane(bench, *batch.configs[i], clock_ghz[i],
-                     work_instructions, app_threads,
-                     out.coreUtil + out.utilOffset[i], lane);
-        out.timeSec[i] = lane.timeSec;
-        out.aggregateIps[i] = lane.aggregateIps;
-        out.coresUsed[i] = lane.coresUsed;
-        out.threadsPerCore[i] = lane.threadsPerCore;
-        out.dramGBs[i] = lane.dramGBs;
-        out.llcActivity[i] = lane.llcActivity;
-        out.bandwidthThrottle[i] = lane.bandwidthThrottle;
-        out.cpiBase[i] = lane.parallelCpi.base;
-        out.cpiBranch[i] = lane.parallelCpi.branch;
-        out.cpiMemory[i] = lane.parallelCpi.memory;
-    }
-    return out;
 }
 
 } // namespace lhr

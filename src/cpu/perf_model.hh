@@ -20,9 +20,7 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
-#include "cpu/config_batch.hh"
 #include "machine/processor.hh"
-#include "util/arena.hh"
 #include "workload/benchmark.hh"
 
 namespace lhr
@@ -54,48 +52,6 @@ struct PerfResult
     double dramGBs;           ///< average DRAM traffic
     double llcActivity;       ///< 0..1, accesses beyond L1 density
     double bandwidthThrottle; ///< 1 = unconstrained by DRAM bandwidth
-};
-
-/**
- * SoA result of evaluating one benchmark across a ConfigBatch. All
- * arrays are arena slices sized to the batch (lane i = batch lane i)
- * and stay valid until the arena resets. coreUtil is ragged — lane
- * i's enabled cores occupy [utilOffset[i], utilOffset[i+1]).
- *
- * Every lane carries exactly the values PerfModel::evaluate would
- * return for that configuration, bit for bit, plus the parallel-
- * phase thread CPI stack (base/branch/memory) the scalar API folds
- * into its IPC composition.
- */
-struct PerfBatch
-{
-    size_t lanes = 0;
-
-    double *timeSec = nullptr;
-    double *aggregateIps = nullptr;
-    int *coresUsed = nullptr;
-    int *threadsPerCore = nullptr;
-    double *dramGBs = nullptr;
-    double *llcActivity = nullptr;
-    double *bandwidthThrottle = nullptr;
-
-    /** Parallel-phase per-thread CPI stack of each lane. */
-    double *cpiBase = nullptr;
-    double *cpiBranch = nullptr;
-    double *cpiMemory = nullptr;
-
-    double *coreUtil = nullptr;   ///< flat ragged utilization rows
-    size_t *utilOffset = nullptr; ///< lanes + 1 entries
-
-    double *utilRow(size_t lane) { return coreUtil + utilOffset[lane]; }
-    const double *utilRow(size_t lane) const
-    {
-        return coreUtil + utilOffset[lane];
-    }
-    size_t utilCount(size_t lane) const
-    {
-        return utilOffset[lane + 1] - utilOffset[lane];
-    }
 };
 
 /**
@@ -139,50 +95,10 @@ class PerfModel
                         double clock_ghz, double work_instructions,
                         int app_threads) const;
 
-    /**
-     * Evaluate one benchmark against every lane of a ConfigBatch in
-     * a single flat pass (the sweep's batch fill mode). Result
-     * arrays live in the arena. Lane i is bit-identical to
-     * evaluate(bench, *batch.configs[i], clock[i], ...): the two
-     * paths share the per-lane implementation, so the floating-point
-     * operation sequence per cell is the same by construction.
-     *
-     * @param clock_ghz per-lane clocks; nullptr = each lane's BIOS
-     *        clock (batch.clockGhz)
-     */
-    PerfBatch evaluateBatch(const Benchmark &bench,
-                            const ConfigBatch &batch,
-                            const double *clock_ghz,
-                            double work_instructions, int app_threads,
-                            Arena &arena) const;
-
     const ProcessorSpec &spec() const { return processor; }
     const CacheHierarchy &hierarchy() const { return caches; }
 
   private:
-    /** Scalar per-lane outputs shared by evaluate/evaluateBatch. */
-    struct LaneResult
-    {
-        double timeSec;
-        double aggregateIps;
-        int coresUsed;
-        int threadsPerCore;
-        double dramGBs;
-        double llcActivity;
-        double bandwidthThrottle;
-        CpiStack parallelCpi; ///< parallel-phase thread CPI stack
-    };
-
-    /**
-     * The one true per-cell evaluation, used by both the scalar and
-     * the batch entry points. core_util must hold cfg.enabledCores
-     * slots; it is fully overwritten.
-     */
-    void evaluateLane(const Benchmark &bench, const MachineConfig &cfg,
-                      double clock_ghz, double work_instructions,
-                      int app_threads, double *core_util,
-                      LaneResult &out) const;
-
     const ProcessorSpec &processor;
     CacheHierarchy caches;
 };

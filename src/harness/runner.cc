@@ -48,6 +48,51 @@ countActive(const std::vector<double> &activity)
     return std::max(1, n);
 }
 
+/** The random draws that open one benchmark invocation. */
+struct InvocationDraw
+{
+    double measuredTime; ///< the invocation's timed result
+    double powerScale;   ///< run-to-run power multiplier
+    int samples;         ///< 50Hz sensor samples in the session
+};
+
+/**
+ * Draw one invocation's timing and power scale from its stream, in
+ * the order every measurement path consumes them: JVM residual
+ * warm-up jitter (Java only), timing noise, power scale.
+ */
+InvocationDraw
+drawInvocation(const Benchmark &bench, const ExecutionProfile &prof,
+               Rng &inv_rng)
+{
+    const bool java = bench.language() == Language::Java;
+    const double timeSigma = java ? 0.016 : 0.004;
+    // Run-to-run power differs beyond sensor noise: thermal drift,
+    // GC/phase alignment, OS scheduling. Phase-rich benchmarks vary
+    // more.
+    const double powerSigma =
+        (java ? 0.012 : 0.008) + 0.04 * bench.phaseVariability;
+
+    double trueTime = prof.timeSec;
+    if (java) {
+        // Warm-up iterations 1..4 run unmeasured inside the
+        // invocation; the measured fifth iteration still carries a
+        // little residual compiler activity.
+        trueTime *= JvmModel::warmupFactor(
+            JvmMethodology::measuredIteration);
+        trueTime *= 1.0 + 0.01 * std::fabs(inv_rng.gaussian());
+    }
+    InvocationDraw draw;
+    draw.measuredTime = trueTime * (1.0 + timeSigma * inv_rng.gaussian());
+    draw.powerScale = 1.0 + powerSigma * inv_rng.gaussian();
+
+    const double duration =
+        std::min(draw.measuredTime, ExperimentRunner::maxSampledSec);
+    draw.samples = std::max(
+        10, static_cast<int>(duration * PowerChannel::sampleHz));
+    return draw;
+}
+
 } // namespace
 
 ExperimentRunner::ExperimentRunner(uint64_t seed)
@@ -266,223 +311,44 @@ ExperimentRunner::profile(const MachineConfig &cfg, const Benchmark &bench)
     return prof;
 }
 
-/**
- * Execution profiles for every lane of one spec's ConfigBatch. JVM
- * executions size their heap per configuration and turbo lanes run
- * the governor's iterative clock search, so those stay scalar; every
- * other lane flows through PerfModel::evaluateBatch and
- * ChipPowerModel::computeBatch in one flat pass. Per lane the result
- * is bit-identical to profile(): the batch entry points share their
- * per-lane bodies with the scalar ones, and the activity composition
- * below repeats activityOf() op for op.
- */
-std::vector<ExecutionProfile>
-ExperimentRunner::profileBatch(const ConfigBatch &batch,
-                               const Benchmark &bench)
+ExperimentRunner::MemoSlot
+ExperimentRunner::memoSlot(const MachineConfig &cfg, const Benchmark &bench,
+                           bool claim) const
 {
-    const ProcessorSpec &spec = *batch.spec;
-    std::vector<ExecutionProfile> profiles(batch.size());
-
-    std::vector<size_t> plainLanes;
-    plainLanes.reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-        const MachineConfig &cfg = *batch.configs[i];
-        if (bench.language() == Language::Java ||
-            (spec.hasTurbo && cfg.turboEnabled))
-            profiles[i] = profile(cfg, bench);
-        else
-            plainLanes.push_back(i);
+    const std::string key = ExperimentRunner::keyOf(cfg, bench);
+    MemoShard &shard = memoShards[fnv1a(key) % memoShardCount];
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    if (!claim) {
+        const auto it = shard.entries.find(key);
+        return {shard,
+                it == shard.entries.end() ? nullptr : it->second.get(),
+                false};
     }
-    if (plainLanes.empty())
-        return profiles;
-
-    const PerfModel &perf = perfModel(spec);
-    const ChipPowerModel &power = powerModel(spec);
-    const double work = bench.instructionsB() * 1e9;
-
-    ConfigBatch sub; // plain lanes, remembering their batch index
-    for (const size_t i : plainLanes)
-        sub.push(*batch.configs[i], i);
-
-    thread_local Arena arena;
-    arena.reset();
-
-    // AVX license derating (see profile()): lanes of a derated spec
-    // run and burn power at the licensed clock. The nullptr fast path
-    // (each lane's BIOS clock) is kept for penalty-free specs so the
-    // paper grid's batch arithmetic is untouched.
-    const double *laneClock = nullptr;
-    if (spec.avxClockPenalty > 0.0) {
-        const double derate =
-            1.0 - spec.avxClockPenalty * bench.fpShare;
-        double *clk = arena.alloc<double>(sub.size());
-        for (size_t j = 0; j < sub.size(); ++j)
-            clk[j] = sub.clockGhz[j] * derate;
-        laneClock = clk;
-    }
-
-    const PerfBatch runs =
-        perf.evaluateBatch(bench, sub, laneClock, work,
-                           bench.appThreads, arena);
-
-    // Switching activity per lane: activityOf(), flattened onto the
-    // batch's ragged core rows.
-    double *act = arena.alloc<double>(runs.utilOffset[runs.lanes]);
-    for (size_t j = 0; j < runs.lanes; ++j) {
-        const double smtBoost = 0.07 * (runs.threadsPerCore[j] - 1);
-        const double *util = runs.utilRow(j);
-        double *row = act + runs.utilOffset[j];
-        for (size_t c = 0; c < runs.utilCount(j); ++c) {
-            row[c] = util[c] > 0.0
-                ? std::min(1.0, switchingActivity(util[c],
-                                                  bench.fpShare) +
-                               smtBoost)
-                : 0.0;
-        }
-    }
-    const PowerBatch pw =
-        power.computeBatch(sub, laneClock, act, runs.utilOffset,
-                           runs.llcActivity, runs.dramGBs, arena);
-
-    for (size_t j = 0; j < runs.lanes; ++j) {
-        ExecutionProfile &prof = profiles[sub.sourceIndex[j]];
-        prof.timeSec = runs.timeSec[j];
-        prof.grantedClockGhz = sub.clockGhz[j]; // no turbo: BIOS clock
-        prof.effectiveClockGhz =
-            laneClock ? laneClock[j] : sub.clockGhz[j];
-        prof.coreActivity.assign(act + runs.utilOffset[j],
-                                 act + runs.utilOffset[j + 1]);
-        prof.llcActivity = runs.llcActivity[j];
-        prof.dramGBs = runs.dramGBs[j];
-        int active = 0;
-        for (const double a : prof.coreActivity)
-            if (a > 0.0)
-                ++active;
-        prof.activeCores = std::max(1, active);
-        prof.power = pw.breakdown(j);
-    }
-    return profiles;
+    auto [it, fresh] = shard.entries.try_emplace(key);
+    if (fresh)
+        it->second = std::make_unique<MemoEntry>();
+    return {shard, it->second.get(), fresh};
 }
 
 const Measurement &
 ExperimentRunner::measure(const MachineConfig &cfg, const Benchmark &bench)
 {
-    const std::string key = ExperimentRunner::keyOf(cfg, bench);
-    MemoShard &shard = memoShards[fnv1a(key) % memoShardCount];
-
-    MemoEntry *entry;
-    bool inserted;
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto [it, fresh] = shard.entries.try_emplace(key);
-        if (fresh)
-            it->second = std::make_unique<MemoEntry>();
-        entry = it->second.get();
-        inserted = fresh;
-    }
-    if (inserted)
-        shard.misses.fetch_add(1, std::memory_order_relaxed);
+    const MemoSlot slot = memoSlot(cfg, bench, /* claim */ true);
+    if (slot.claimed)
+        slot.shard.misses.fetch_add(1, std::memory_order_relaxed);
     else
-        shard.hits.fetch_add(1, std::memory_order_relaxed);
+        slot.shard.hits.fetch_add(1, std::memory_order_relaxed);
 
     // The inserting thread measures; concurrent readers of the same
     // key block here until the measurement is published. `ready`
     // flips only after the value is fully assigned (release pairs
     // with peekCache's acquire).
-    std::call_once(entry->once, [&] {
-        entry->value = runMeasurement(cfg, bench);
-        entry->ready.store(true, std::memory_order_release);
+    MemoEntry &entry = *slot.entry;
+    std::call_once(entry.once, [&] {
+        entry.value = runMeasurement(cfg, bench);
+        entry.ready.store(true, std::memory_order_release);
     });
-    return entry->value;
-}
-
-std::vector<ExperimentRunner::BatchOutcome>
-ExperimentRunner::measureBatch(
-    const std::vector<const MachineConfig *> &configs,
-    const Benchmark &bench)
-{
-    std::vector<BatchOutcome> out(configs.size());
-    if (configs.empty())
-        return out;
-
-    // Cache lookup for every cell up front — same keys and the same
-    // per-shard hit/miss accounting as measure(): the cell that
-    // inserts its entry is the miss, every other lookup a hit
-    // (duplicates within one call included).
-    std::vector<MemoEntry *> entries(configs.size());
-    std::vector<const MachineConfig *> pendingCfg;
-    std::vector<size_t> pendingOut;
-    for (size_t i = 0; i < configs.size(); ++i) {
-        if (configs[i] == nullptr)
-            panic("ExperimentRunner::measureBatch: null configuration");
-        const std::string key = ExperimentRunner::keyOf(*configs[i], bench);
-        MemoShard &shard = memoShards[fnv1a(key) % memoShardCount];
-        bool inserted;
-        {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            auto [it, fresh] = shard.entries.try_emplace(key);
-            if (fresh)
-                it->second = std::make_unique<MemoEntry>();
-            entries[i] = it->second.get();
-            inserted = fresh;
-        }
-        if (inserted) {
-            shard.misses.fetch_add(1, std::memory_order_relaxed);
-            pendingCfg.push_back(configs[i]);
-            pendingOut.push_back(i);
-        } else {
-            shard.hits.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-
-    // Publish cell i through its once_flag. A compute() that throws
-    // leaves the flag unset (exactly measure()'s semantics: the next
-    // caller retries) and degrades only this cell's outcome.
-    auto resolve = [&](size_t i, auto &&compute) {
-        try {
-            std::call_once(entries[i]->once, [&] {
-                entries[i]->value = compute();
-                entries[i]->ready.store(true,
-                                        std::memory_order_release);
-            });
-            out[i].measurement = &entries[i]->value;
-        } catch (const FaultError &e) {
-            out[i].status = e.status();
-        } catch (const std::exception &e) {
-            out[i].status =
-                Status::error(StatusCode::Internal, e.what());
-        }
-    };
-
-    const bool cleanPlan =
-        faults.poisonedConfig.empty() && !faults.injectsSamples();
-    if (cleanPlan && !pendingCfg.empty()) {
-        // The batch fill proper: group this call's fresh cells per
-        // spec and compute their profiles through the SoA model
-        // batch, then run each cell's sampling off its batch lane.
-        for (const ConfigBatch &batch :
-             ConfigBatch::partition(pendingCfg)) {
-            const std::vector<ExecutionProfile> profiles =
-                profileBatch(batch, bench);
-            for (size_t lane = 0; lane < batch.size(); ++lane) {
-                const size_t i = pendingOut[batch.sourceIndex[lane]];
-                resolve(i, [&] {
-                    return measureWithProfile(*batch.configs[lane],
-                                              bench, profiles[lane]);
-                });
-            }
-        }
-    }
-
-    // Hits, faulted plans (poison checks and injection live in the
-    // scalar path), and any cell whose concurrent producer threw all
-    // resolve here; a published entry makes this a plain read.
-    for (size_t i = 0; i < out.size(); ++i) {
-        if (out[i].measurement != nullptr || !out[i].status.ok())
-            continue;
-        resolve(i, [&] { return runMeasurement(*configs[i], bench); });
-    }
-    return out;
+    return entry.value;
 }
 
 bool
@@ -490,24 +356,16 @@ ExperimentRunner::seedCache(const MachineConfig &cfg,
                             const Benchmark &bench,
                             const Measurement &m)
 {
-    const std::string key = ExperimentRunner::keyOf(cfg, bench);
-    MemoShard &shard = memoShards[fnv1a(key) % memoShardCount];
-
-    MemoEntry *entry;
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto [it, fresh] = shard.entries.try_emplace(key);
-        if (!fresh)
-            return false;
-        it->second = std::make_unique<MemoEntry>();
-        entry = it->second.get();
-    }
+    const MemoSlot slot = memoSlot(cfg, bench, /* claim */ true);
+    if (!slot.claimed)
+        return false;
     // Publish through the slot's once_flag, the same protocol
     // measure() uses: a concurrent measure() of this key blocks on
     // the flag and then reads the seeded value as a plain hit.
-    std::call_once(entry->once, [&] {
-        entry->value = m;
-        entry->ready.store(true, std::memory_order_release);
+    MemoEntry &entry = *slot.entry;
+    std::call_once(entry.once, [&] {
+        entry.value = m;
+        entry.ready.store(true, std::memory_order_release);
     });
     return true;
 }
@@ -516,21 +374,12 @@ const Measurement *
 ExperimentRunner::peekCache(const MachineConfig &cfg,
                             const Benchmark &bench) const
 {
-    const std::string key = ExperimentRunner::keyOf(cfg, bench);
-    const MemoShard &shard = memoShards[fnv1a(key) % memoShardCount];
-    const MemoEntry *entry;
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.entries.find(key);
-        if (it == shard.entries.end())
-            return nullptr;
-        entry = it->second.get();
-    }
+    const MemoEntry *entry = memoSlot(cfg, bench, /* claim */ false).entry;
     // An entry exists from the moment a producer claims the key; it
     // is only readable once published. Never block on the once_flag
     // here — the whole point of the probe is answering "not yet"
     // instantly while another thread is mid-measurement.
-    if (!entry->ready.load(std::memory_order_acquire))
+    if (entry == nullptr || !entry->ready.load(std::memory_order_acquire))
         return nullptr;
     return &entry->value;
 }
@@ -633,22 +482,8 @@ ExperimentRunner::runMeasurement(const MachineConfig &cfg,
             "rig offline for poisoned configuration '" + cfg.label() +
                 "' (" + bench.name + ")"));
     }
-    return measureWithProfile(cfg, bench, profile(cfg, bench));
-}
-
-/**
- * Everything downstream of the execution profile: phase waveform,
- * invocation methodology, the sensor sampling sessions. Split from
- * runMeasurement() so the batch fill path can feed profiles computed
- * through the SoA model batch while sharing the rest verbatim.
- */
-Measurement
-ExperimentRunner::measureWithProfile(const MachineConfig &cfg,
-                                     const Benchmark &bench,
-                                     const ExecutionProfile &prof)
-{
+    const ExecutionProfile prof = profile(cfg, bench);
     const Rig &sensorRig = rig(*cfg.spec);
-    const bool java = bench.language() == Language::Java;
 
     const uint64_t streamHash = fnv1a(ExperimentRunner::keyOf(cfg, bench));
     Rng rng(baseSeed ^ streamHash);
@@ -670,46 +505,22 @@ ExperimentRunner::measureWithProfile(const MachineConfig &cfg,
     }
 
     const int invocations = bench.prescribedInvocations();
-    const double timeSigma = java ? 0.016 : 0.004;
-    // Run-to-run power differs beyond sensor noise: thermal drift,
-    // GC/phase alignment, OS scheduling. Phase-rich benchmarks vary
-    // more.
-    const double powerSigma =
-        (java ? 0.012 : 0.008) + 0.04 * bench.phaseVariability;
-
     Summary timeStats, powerStats;
     for (int inv = 0; inv < invocations; ++inv) {
         Rng invRng = rng.fork();
-
-        double trueTime = prof.timeSec;
-        if (java) {
-            // Warm-up iterations 1..4 run unmeasured inside the
-            // invocation; the measured fifth iteration still carries
-            // a little residual compiler activity.
-            trueTime *= JvmModel::warmupFactor(
-                JvmMethodology::measuredIteration);
-            trueTime *= 1.0 + 0.01 * std::fabs(invRng.gaussian());
-        }
-        const double measuredTime =
-            trueTime * (1.0 + timeSigma * invRng.gaussian());
-
-        const double invocationPowerScale =
-            1.0 + powerSigma * invRng.gaussian();
+        const InvocationDraw draw = drawInvocation(bench, prof, invRng);
 
         // Sample the power trace at 50Hz through the sensor chain —
         // supply ripple on the 12V rail (< 1%, section 2.5), Hall
         // sensor, ADC, calibration decode. The batched session is
         // bitwise equal to sampling one-by-one through
         // channel->sampleCounts (see sensor/sampling.hh).
-        const double duration = std::min(measuredTime, maxSampledSec);
-        const int samples = std::max(
-            10, static_cast<int>(duration * PowerChannel::sampleHz));
         const double wattsSum = sensorRig.sensor->sessionWatts(
-            phasePowerW.data(), powerPhases, invocationPowerScale,
-            samples, invRng);
+            phasePowerW.data(), powerPhases, draw.powerScale,
+            draw.samples, invRng);
 
-        timeStats.add(measuredTime);
-        powerStats.add(wattsSum / samples);
+        timeStats.add(draw.measuredTime);
+        powerStats.add(wattsSum / draw.samples);
     }
 
     Measurement m;
@@ -738,11 +549,7 @@ ExperimentRunner::faultedMeasurement(const MachineConfig &cfg,
                                      Rng &rng, uint64_t stream_hash)
 {
     const Rig &sensorRig = rig(*cfg.spec);
-    const bool java = bench.language() == Language::Java;
     const int invocations = bench.prescribedInvocations();
-    const double timeSigma = java ? 0.016 : 0.004;
-    const double powerSigma =
-        (java ? 0.012 : 0.008) + 0.04 * bench.phaseVariability;
     const int railHigh = sensorRig.sensor->railHighCode();
     const int railLow = sensorRig.sensor->railLowCode();
 
@@ -761,23 +568,10 @@ ExperimentRunner::faultedMeasurement(const MachineConfig &cfg,
     auto runSession = [&]() {
         const int session = nextSession++;
         Rng invRng = rng.fork();
-
-        double trueTime = prof.timeSec;
-        if (java) {
-            trueTime *= JvmModel::warmupFactor(
-                JvmMethodology::measuredIteration);
-            trueTime *= 1.0 + 0.01 * std::fabs(invRng.gaussian());
-        }
+        const InvocationDraw draw = drawInvocation(bench, prof, invRng);
+        const int samples = draw.samples;
         Session out;
-        out.measuredTime =
-            trueTime * (1.0 + timeSigma * invRng.gaussian());
-        const double invocationPowerScale =
-            1.0 + powerSigma * invRng.gaussian();
-
-        const double duration =
-            std::min(out.measuredTime, maxSampledSec);
-        const int samples = std::max(
-            10, static_cast<int>(duration * PowerChannel::sampleHz));
+        out.measuredTime = draw.measuredTime;
         out.expectedSamples = samples;
 
         FaultInjector injector(faults, stream_hash, session, samples);
@@ -788,7 +582,7 @@ ExperimentRunner::faultedMeasurement(const MachineConfig &cfg,
             const int k = static_cast<int>(
                 static_cast<int64_t>(s) * powerPhases / samples) %
                 powerPhases;
-            const double trueW = phasePowerW[k] * invocationPowerScale *
+            const double trueW = phasePowerW[k] * draw.powerScale *
                 (1.0 + 0.003 * invRng.gaussian());
             logger.sampleFaulted(s / PowerChannel::sampleHz, trueW,
                                  invRng, injector.next());

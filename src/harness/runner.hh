@@ -123,40 +123,6 @@ class ExperimentRunner
                                const Benchmark &bench);
 
     /**
-     * Outcome of one cell of measureBatch(): a cached measurement on
-     * success, or the error that cell's experiment raised. One bad
-     * cell never poisons its batch.
-     */
-    struct BatchOutcome
-    {
-        const Measurement *measurement = nullptr;
-        Status status;
-
-        bool ok() const { return status.ok() && measurement != nullptr; }
-    };
-
-    /**
-     * Measure one benchmark across many configurations — the sweep's
-     * batch fill mode. Semantically measure() per element (same keys,
-     * same cache, same hit/miss accounting: one miss per cell this
-     * call computes, one hit per cell already cached), but pending
-     * cells are grouped per processor spec into ConfigBatches and
-     * their execution profiles computed through the SoA batch model
-     * path (PerfModel::evaluateBatch / ChipPowerModel::computeBatch).
-     * Results are bit-identical to scalar measure() — the batch and
-     * scalar paths share their per-lane implementations.
-     *
-     * Cells whose plan is faulted (a poisoned configuration or
-     * nonzero injection rates) fall back to the scalar path cell by
-     * cell, so fault behaviour is exactly measure()'s; the outcome
-     * of a throwing cell carries the error while clean cells of the
-     * same batch are unaffected.
-     */
-    std::vector<BatchOutcome>
-    measureBatch(const std::vector<const MachineConfig *> &configs,
-                 const Benchmark &bench);
-
-    /**
      * Install a fault model. Experiments on the plan's poisoned
      * configuration throw FaultError from measure(); nonzero rates
      * route sampling through the FaultInjector. Must be called
@@ -334,6 +300,23 @@ class ExperimentRunner
 
     static constexpr size_t memoShardCount = 16;
 
+    /** Where one experiment's memo entry lives (see memoSlot()). */
+    struct MemoSlot
+    {
+        MemoShard &shard;
+        MemoEntry *entry;  ///< nullptr: absent and not claimed
+        bool claimed;      ///< this call created the entry
+    };
+
+    /**
+     * Find one experiment's memo entry under its shard's lock. With
+     * claim set, an absent key gets a fresh, unpublished entry that
+     * this call owns (claimed); otherwise an absent key yields a
+     * null entry. Touches no hit/miss counter.
+     */
+    MemoSlot memoSlot(const MachineConfig &cfg, const Benchmark &bench,
+                      bool claim) const;
+
     template <typename T>
     using SpecSlotMap = // lhrlint:allow-next-line(det-unordered): keyed lookups only — slot maps are never iterated
         std::unordered_map<const ProcessorSpec *,
@@ -346,11 +329,6 @@ class ExperimentRunner
     const Rig &rig(const ProcessorSpec &spec);
     Measurement runMeasurement(const MachineConfig &cfg,
                                const Benchmark &bench);
-    Measurement measureWithProfile(const MachineConfig &cfg,
-                                   const Benchmark &bench,
-                                   const ExecutionProfile &prof);
-    std::vector<ExecutionProfile> profileBatch(const ConfigBatch &batch,
-                                               const Benchmark &bench);
     Measurement faultedMeasurement(const MachineConfig &cfg,
                                    const Benchmark &bench,
                                    const ExecutionProfile &prof,
@@ -365,7 +343,7 @@ class ExperimentRunner
     MeasurementPolicy policy;
     std::optional<SensorBackend> backendChoice;
 
-    std::array<MemoShard, memoShardCount> memoShards;
+    mutable std::array<MemoShard, memoShardCount> memoShards;
 
     std::mutex specMutex; ///< guards the three per-spec slot maps
     SpecSlotMap<std::unique_ptr<PerfModel>> perfModels;

@@ -47,20 +47,10 @@ ChipPowerModel::compute(const MachineConfig &cfg, double clock_ghz,
                         const std::vector<double> &core_activity,
                         double llc_activity, double dram_gbs) const
 {
-    return computeOne(cfg, clock_ghz, core_activity.data(),
-                      static_cast<int>(core_activity.size()),
-                      llc_activity, dram_gbs);
-}
-
-PowerBreakdown
-ChipPowerModel::computeOne(const MachineConfig &cfg, double clock_ghz,
-                           const double *core_activity,
-                           int activity_count, double llc_activity,
-                           double dram_gbs) const
-{
     if (cfg.spec != &processor)
         panic("ChipPowerModel: config is for a different processor");
-    if (activity_count != cfg.enabledCores)
+    const int activityCount = static_cast<int>(core_activity.size());
+    if (activityCount != cfg.enabledCores)
         panic("ChipPowerModel: activity vector size mismatch");
     if (llc_activity < 0.0 || llc_activity > 1.0)
         panic("ChipPowerModel: llc activity out of range");
@@ -78,7 +68,7 @@ ChipPowerModel::computeOne(const MachineConfig &cfg, double clock_ghz,
     // An enabled-but-idle core still clocks at the gating quality of
     // its generation.
     const double idleFloor = ua.idleCoreFraction * 0.45;
-    for (int core = 0; core < activity_count; ++core) {
+    for (int core = 0; core < activityCount; ++core) {
         const double act = core_activity[core];
         if (act < 0.0 || act > 1.0)
             panic("ChipPowerModel: core activity out of range");
@@ -107,7 +97,7 @@ ChipPowerModel::computeOne(const MachineConfig &cfg, double clock_ghz,
     const bool gatesIdle = familyPowerGatesIdleCores(s.family);
     int gatedCores = s.cores - cfg.enabledCores;
     if (gatesIdle) {
-        for (int core = 0; core < activity_count; ++core)
+        for (int core = 0; core < activityCount; ++core)
             if (exactZero(core_activity[core]))
                 ++gatedCores;
     }
@@ -126,75 +116,6 @@ ChipPowerModel::computeOne(const MachineConfig &cfg, double clock_ghz,
     pb.junctionC = thermalModel.junctionAt(pb.total());
 
     return pb;
-}
-
-PowerBatch
-ChipPowerModel::allocBatch(size_t lanes, Arena &arena)
-{
-    PowerBatch out;
-    out.lanes = lanes;
-    out.coreDynW = arena.alloc<double>(lanes);
-    out.leakW = arena.alloc<double>(lanes);
-    out.llcW = arena.alloc<double>(lanes);
-    out.uncoreW = arena.alloc<double>(lanes);
-    out.junctionC = arena.alloc<double>(lanes);
-    out.totalW = arena.alloc<double>(lanes);
-    return out;
-}
-
-PowerBatch
-ChipPowerModel::computeBatch(const ConfigBatch &batch,
-                             const double *clock_ghz,
-                             const double *core_activity,
-                             const size_t *activity_offset,
-                             const double *llc_activity,
-                             const double *dram_gbs, Arena &arena) const
-{
-    if (batch.spec != &processor)
-        panic("ChipPowerModel::computeBatch: batch is for a different "
-              "processor");
-    if (clock_ghz == nullptr)
-        clock_ghz = batch.clockGhz.data();
-
-    PowerBatch out = allocBatch(batch.size(), arena);
-    for (size_t i = 0; i < batch.size(); ++i) {
-        const PowerBreakdown pb = computeOne(
-            *batch.configs[i], clock_ghz[i],
-            core_activity + activity_offset[i],
-            static_cast<int>(activity_offset[i + 1] -
-                             activity_offset[i]),
-            llc_activity[i], dram_gbs[i]);
-        out.coreDynW[i] = pb.coreDynW;
-        out.leakW[i] = pb.leakW;
-        out.llcW[i] = pb.llcW;
-        out.uncoreW[i] = pb.uncoreW;
-        out.junctionC[i] = pb.junctionC;
-        out.totalW[i] = pb.total();
-    }
-    return out;
-}
-
-PowerBatch
-ChipPowerModel::computeBatch(const MachineConfig &cfg, double clock_ghz,
-                             const double *core_activity,
-                             const double *llc_activity,
-                             const double *dram_gbs, size_t lanes,
-                             Arena &arena) const
-{
-    const size_t stride = static_cast<size_t>(cfg.enabledCores);
-    PowerBatch out = allocBatch(lanes, arena);
-    for (size_t i = 0; i < lanes; ++i) {
-        const PowerBreakdown pb = computeOne(
-            cfg, clock_ghz, core_activity + i * stride,
-            cfg.enabledCores, llc_activity[i], dram_gbs[i]);
-        out.coreDynW[i] = pb.coreDynW;
-        out.leakW[i] = pb.leakW;
-        out.llcW[i] = pb.llcW;
-        out.uncoreW[i] = pb.uncoreW;
-        out.junctionC[i] = pb.junctionC;
-        out.totalW[i] = pb.total();
-    }
-    return out;
 }
 
 } // namespace lhr

@@ -23,9 +23,7 @@
 
 #include <vector>
 
-#include "cpu/config_batch.hh"
 #include "machine/processor.hh"
-#include "util/arena.hh"
 
 namespace lhr
 {
@@ -40,30 +38,6 @@ struct PowerBreakdown
     double junctionC;  ///< steady-state junction temperature
 
     double total() const { return coreDynW + leakW + llcW + uncoreW; }
-};
-
-/**
- * SoA result of a batch power evaluation. Arrays are arena slices
- * (lane i = input lane i) valid until the arena resets. Each lane
- * holds exactly the PowerBreakdown compute() would return for that
- * operating point, bit for bit.
- */
-struct PowerBatch
-{
-    size_t lanes = 0;
-
-    double *coreDynW = nullptr;
-    double *leakW = nullptr;
-    double *llcW = nullptr;
-    double *uncoreW = nullptr;
-    double *junctionC = nullptr;
-    double *totalW = nullptr; ///< sum of the four power terms
-
-    PowerBreakdown breakdown(size_t lane) const
-    {
-        return PowerBreakdown{coreDynW[lane], leakW[lane], llcW[lane],
-                              uncoreW[lane], junctionC[lane]};
-    }
 };
 
 /**
@@ -116,56 +90,12 @@ class ChipPowerModel
                            const std::vector<double> &core_activity,
                            double llc_activity, double dram_gbs) const;
 
-    /**
-     * Power for every lane of a ConfigBatch (config-axis batching:
-     * one benchmark swept across configurations). Lane i is
-     * bit-identical to compute(*batch.configs[i], clock[i], ...);
-     * both paths share the per-lane implementation.
-     *
-     * @param clock_ghz per-lane clocks; nullptr = batch.clockGhz
-     * @param core_activity flat ragged activity rows; lane i's
-     *        enabled cores at [activity_offset[i], activity_offset[i+1])
-     * @param activity_offset batch.size() + 1 entries
-     * @param llc_activity, dram_gbs one entry per lane
-     */
-    PowerBatch computeBatch(const ConfigBatch &batch,
-                            const double *clock_ghz,
-                            const double *core_activity,
-                            const size_t *activity_offset,
-                            const double *llc_activity,
-                            const double *dram_gbs, Arena &arena) const;
-
-    /**
-     * Power for one configuration across many operating points
-     * (phase-axis batching: the runner's 64 workload phases at a
-     * fixed clock). core_activity is a dense lanes x cfg.enabledCores
-     * row-major matrix.
-     */
-    PowerBatch computeBatch(const MachineConfig &cfg, double clock_ghz,
-                            const double *core_activity,
-                            const double *llc_activity,
-                            const double *dram_gbs, size_t lanes,
-                            Arena &arena) const;
-
     const ThermalModel &thermal() const { return thermalModel; }
 
     /** Calibrated leakage per million transistors at 130nm/Vnom. */
     static constexpr double leakPerMtranW130 = 0.007;
 
   private:
-    /**
-     * The one true per-operating-point body shared by compute() and
-     * both computeBatch() overloads; the scalar/batch bit-identity
-     * contract rests on this sharing.
-     */
-    PowerBreakdown computeOne(const MachineConfig &cfg, double clock_ghz,
-                              const double *core_activity,
-                              int activity_count, double llc_activity,
-                              double dram_gbs) const;
-
-    /** Arena-allocate the result arrays of one batch. */
-    static PowerBatch allocBatch(size_t lanes, Arena &arena);
-
     const ProcessorSpec &processor;
     ThermalModel thermalModel;
 };

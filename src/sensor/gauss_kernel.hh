@@ -56,7 +56,7 @@ GaussKernelFn resolveGaussKernel();
 /**
  * Upper bound on |kernel - libm| per gaussian, used to size the
  * certainty window. Deliberately loose: the measured worst case is
- * below 1e-13 (see test_batch.cc).
+ * below 1e-13 (see test_sensor.cc).
  */
 constexpr double gaussKernelMaxError = 1e-11;
 

@@ -5,8 +5,8 @@
  * The paper's Table 2 uses Student-t intervals, which assume
  * normality — shaky at SPEC's prescribed three runs. The percentile
  * bootstrap makes no distributional assumption; the methodology
- * ablation (bench/ablation_bootstrap) compares the two at the
- * paper's repetition counts.
+ * ablation (`lhrlab run ablation_bootstrap`) compares the two at
+ * the paper's repetition counts.
  */
 
 #ifndef LHR_STATS_BOOTSTRAP_HH

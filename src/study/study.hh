@@ -15,9 +15,8 @@
  *
  * Studies register in the global StudyRegistry via explicit
  * registration functions (static initializers would be dropped when
- * the study library is linked statically). The historical
- * per-figure binaries under bench/ are three-line shims over
- * studyMain().
+ * the study library is linked statically). Every study runs from
+ * the command line as `lhrlab run <study>`.
  */
 
 #ifndef LHR_STUDY_STUDY_HH
@@ -180,9 +179,6 @@ int runStudyCommand(const std::vector<std::string> &args);
 
 /** List registered studies; names only (for scripting) or a table. */
 void listStudies(std::ostream &os, bool namesOnly);
-
-/** main() body of a per-study shim binary. */
-int studyMain(const char *name, int argc, char **argv);
 
 /** Register every builtin study (idempotent via instance()). */
 void registerBuiltinStudies(StudyRegistry &registry);

@@ -145,137 +145,20 @@ SweepEngine::run(std::vector<MachineConfig> configs,
 
     std::atomic<int> failures{0};
 
-    // External stop (snapshot's signal handler sets the flag): work
-    // not yet started is marked Cancelled instead of run, so the
-    // sweep returns at the next cell/group boundary with every
-    // completed row intact.
+    // External stop (snapshot's signal handler sets the flag): cells
+    // not yet started are marked Cancelled instead of run, so the
+    // sweep returns at the next cell boundary with every completed
+    // row intact.
     const auto stopRequested = [this] {
         return options.stopFlag != nullptr && options.stopFlag->load();
     };
 
-    // Shared per-cell completion bookkeeping (checkpoint + progress),
-    // identical between the batch and per-cell fill paths.
-    const auto finishCell = [&](SweepCell &cell, const MachineConfig &cfg,
-                                const Benchmark &bench) {
-        const size_t finished =
-            done.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (options.checkpointEvery > 0 && cell.measurement) {
-            // Accumulate under the lock (cells finish out of order)
-            // and persist atomically every checkpointEvery cells;
-            // the last partial interval is covered by the caller's
-            // final save of the full shard store.
-            std::lock_guard<std::mutex> lock(checkpointMutex);
-            checkpointStore.put(cfg, bench, *cell.measurement);
-            if (finished % options.checkpointEvery == 0 &&
-                finished != total) {
-                const Status saved =
-                    checkpointStore.saveToFile(options.checkpointPath);
-                if (!saved.ok()) {
-                    std::cerr << "sweep: checkpoint failed: "
-                              << saved.toString() << "\n";
-                }
-            }
-        }
-        if (options.progress &&
-            (finished % progressEvery == 0 || finished == total)) {
-            const double elapsed = secondsSince(start);
-            std::lock_guard<std::mutex> lock(progressMutex);
-            std::cerr << "sweep: " << finished << "/" << total << " ("
-                      << (elapsed > 0.0 ? finished / elapsed : 0.0)
-                      << " exp/s)" << (finished == total ? "\n" : "\r")
-                      << std::flush;
-        }
-    };
-
-    // Batch fill: group this shard's cells by benchmark and run each
-    // group through ExperimentRunner::measureBatch, which evaluates
-    // the group's pending configurations through the SoA batch model
-    // path. Bit-identical to the per-cell path (the runner's batch
-    // and scalar paths share their per-lane implementations); only
-    // the traversal changes. Requires the semantics the per-cell
-    // path alone provides to be off: no fault plan (measureBatch
-    // already falls back per cell for faulted plans, but a poisoned
-    // grid is the fault rig's domain and stays on the reference
-    // path), no per-cell timeout flagging, and no failure-triggered
-    // cancellation — under those options a group is not divisible
-    // into per-cell wall times or cancellation points.
-    const bool cleanPlan = runner.faultPlan().poisonedConfig.empty() &&
-                           !runner.faultPlan().injectsSamples();
-    if (options.batchFill && cleanPlan && options.cellTimeoutSec <= 0.0 &&
-        options.maxFailures < 0) {
-        struct Group
-        {
-            size_t bi = 0;             // benchmark index
-            std::vector<size_t> slots; // this shard's cells, in order
-        };
-        std::vector<Group> groups(nBench);
-        for (size_t bi = 0; bi < nBench; ++bi)
-            groups[bi].bi = bi;
-        for (size_t slot = 0; slot < total; ++slot)
-            groups[mine[slot] % nBench].slots.push_back(slot);
-        groups.erase(std::remove_if(groups.begin(), groups.end(),
-                                    [](const Group &g) {
-                                        return g.slots.empty();
-                                    }),
-                     groups.end());
-
-        pool.parallelFor(groups.size(), [&](size_t gi) {
-            const Group &group = groups[gi];
-            const Benchmark &bench = report.benchmarks[group.bi];
-            if (stopRequested()) {
-                for (const size_t slot : group.slots) {
-                    SweepCell &cell = report.cells[slot];
-                    cell.config =
-                        &report.configs[mine[slot] / nBench];
-                    cell.benchmark = &bench;
-                    cell.status = Status::error(
-                        StatusCode::Cancelled,
-                        "sweep stopped before this group ran");
-                    finishCell(cell, *cell.config, bench);
-                }
-                return;
-            }
-            const Clock::time_point groupStart = Clock::now();
-            std::vector<const MachineConfig *> cfgs;
-            cfgs.reserve(group.slots.size());
-            for (const size_t slot : group.slots)
-                cfgs.push_back(&report.configs[mine[slot] / nBench]);
-            const std::vector<ExperimentRunner::BatchOutcome> outcomes =
-                runner.measureBatch(cfgs, bench);
-            // The group is measured as one unit, so per-cell wall
-            // time is the group's wall time spread evenly.
-            const double cellSec =
-                secondsSince(groupStart) / group.slots.size();
-            for (size_t j = 0; j < group.slots.size(); ++j) {
-                SweepCell &cell = report.cells[group.slots[j]];
-                cell.config = cfgs[j];
-                cell.benchmark = &bench;
-                cell.measurement = outcomes[j].measurement;
-                cell.status = outcomes[j].status;
-                cell.wallSec = cellSec;
-                finishCell(cell, *cfgs[j], bench);
-            }
-        });
-
-        report.wallSec = secondsSince(start);
-        const CacheStats after = runner.cacheStats();
-        report.cache.hits = after.hits - before.hits;
-        report.cache.misses = after.misses - before.misses;
-        for (const SweepCell &cell : report.cells) {
-            report.maxCellSec = std::max(report.maxCellSec, cell.wallSec);
-            report.sumCellSec += cell.wallSec;
-        }
-        return report;
-    }
-
-    // One task per cell; the pool's work stealing keeps every worker
-    // busy even though Java benchmarks on big parts cost far more
-    // than native ones on the Atom. Cells write disjoint slots, so
-    // the results vector needs no lock. A throwing experiment
-    // degrades its own cell to a flagged row and never takes the
-    // sweep down; past maxFailures the pool is cancelled and the
-    // remaining cells come back Cancelled without running.
-    pool.parallelFor(total, [&](size_t slot) {
+    // Cells write disjoint slots, so the results vector needs no
+    // lock. A throwing experiment degrades its own cell to a flagged
+    // row and never takes the sweep down; past maxFailures the pool
+    // is cancelled and the remaining cells come back Cancelled
+    // without running.
+    const auto runCell = [&](size_t slot) {
         const size_t idx = mine[slot];
         const size_t ci = idx / nBench;
         const size_t bi = idx % nBench;
@@ -317,7 +200,47 @@ SweepEngine::run(std::vector<MachineConfig> configs,
                 pool.cancel();
         }
 
-        finishCell(cell, cfg, bench);
+        const size_t finished =
+            done.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (options.checkpointEvery > 0 && cell.measurement) {
+            // Accumulate under the lock (cells finish out of order)
+            // and persist atomically every checkpointEvery cells;
+            // the last partial interval is covered by the caller's
+            // final save of the full shard store.
+            std::lock_guard<std::mutex> lock(checkpointMutex);
+            checkpointStore.put(cfg, bench, *cell.measurement);
+            if (finished % options.checkpointEvery == 0 &&
+                finished != total) {
+                const Status saved =
+                    checkpointStore.saveToFile(options.checkpointPath);
+                if (!saved.ok()) {
+                    std::cerr << "sweep: checkpoint failed: "
+                              << saved.toString() << "\n";
+                }
+            }
+        }
+        if (options.progress &&
+            (finished % progressEvery == 0 || finished == total)) {
+            const double elapsed = secondsSince(start);
+            std::lock_guard<std::mutex> lock(progressMutex);
+            std::cerr << "sweep: " << finished << "/" << total << " ("
+                      << (elapsed > 0.0 ? finished / elapsed : 0.0)
+                      << " exp/s)" << (finished == total ? "\n" : "\r")
+                      << std::flush;
+        }
+    };
+
+    // Pool tasks take runs of cellsPerTask consecutive cells: a warm
+    // (memo-hit) cell costs about as much as handing one task to the
+    // pool, while a run is still short enough for work stealing to
+    // balance Java-on-i7 cells against cheap Atom ones.
+    constexpr size_t cellsPerTask = 16;
+    const size_t tasks = (total + cellsPerTask - 1) / cellsPerTask;
+    pool.parallelFor(tasks, [&](size_t task) {
+        const size_t first = task * cellsPerTask;
+        const size_t end = std::min(total, first + cellsPerTask);
+        for (size_t slot = first; slot < end; ++slot)
+            runCell(slot);
     });
 
     report.wallSec = secondsSince(start);

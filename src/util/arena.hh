@@ -2,17 +2,17 @@
  * @file
  * A bump-pointer arena for per-session scratch.
  *
- * The batch evaluation path (PerfModel::evaluateBatch,
- * ChipPowerModel::computeBatch, ExperimentRunner::measureBatch)
- * needs many short-lived arrays per cell — core-utilization rows,
- * phase activity lanes, gaussian pair buffers. Allocating them per
- * cell through the heap is measurable at grid scale; the arena hands
- * out slices of a few retained blocks and reset() recycles the whole
- * lot in O(number of blocks) without touching the allocator.
+ * Its one user is the batched sampling session
+ * (sensor/sampling.cc), which needs several short-lived arrays per
+ * session — gaussian pair buffers, uniforms, per-sample watts.
+ * Allocating them per session through the heap is measurable at
+ * grid scale; the arena hands out slices of a few retained blocks
+ * and reset() recycles the whole lot in O(number of blocks) without
+ * touching the allocator.
  *
  * Only trivially-destructible element types are supported: reset()
- * runs no destructors. Not thread-safe — each batch session owns its
- * own arena.
+ * runs no destructors. Not thread-safe — each sampling thread owns
+ * its own arena.
  */
 
 #ifndef LHR_UTIL_ARENA_HH

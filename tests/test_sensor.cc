@@ -1,15 +1,21 @@
 /**
  * @file
  * Tests for the Hall-sensor measurement chain and its calibration
- * (paper section 2.5).
+ * (paper section 2.5), and for the Gaussian and quantize kernels of
+ * the batched sampling session.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "sensor/calibration.hh"
 #include "sensor/channel.hh"
+#include "sensor/gauss_kernel.hh"
 #include "stats/summary.hh"
 
 namespace lhr
@@ -184,5 +190,103 @@ TEST_P(SensorDeviceSweep, MeasurementErrorAboutOnePercent)
 INSTANTIATE_TEST_SUITE_P(Devices, SensorDeviceSweep,
                          ::testing::Values(1ull, 2ull, 3ull, 4ull,
                                            5ull, 6ull, 7ull, 8ull));
+
+// The certainty-window sampler is sound only while the polynomial
+// kernel stays within gaussKernelMaxError of libm. Measure the
+// actual worst case of every resolved kernel against the exact
+// Box-Muller expression and require an order of magnitude of slack.
+TEST(GaussKernel, StaysWithinDocumentedErrorBound)
+{
+    constexpr size_t n = 1 << 15;
+    std::vector<double> u1(n), u2(n), gc(n), gs(n);
+    std::mt19937_64 rng(0x1234abcdu);
+    std::uniform_real_distribution<double> uniform(0.0, 1.0);
+    for (size_t i = 0; i < n; ++i) {
+        double u = 0.0;
+        while (u <= 0.0)
+            u = uniform(rng);
+        u1[i] = u;
+        u2[i] = uniform(rng);
+    }
+    // Include the extremes the sampler can actually produce.
+    u1[0] = 0x1p-53;
+    u1[1] = 1.0 - 0x1p-53;
+    u2[1] = 1.0 - 0x1p-53;
+
+    std::vector<GaussKernelFn> kernels = {&gaussPairsBase};
+    if (GaussKernelFn avx2 = gaussKernelAvx2OrNull())
+        kernels.push_back(avx2);
+
+    for (GaussKernelFn kernel : kernels) {
+        kernel(u1.data(), u2.data(), gc.data(), gs.data(), n);
+        double maxError = 0.0;
+        for (size_t i = 0; i < n; ++i) {
+            const double r = std::sqrt(-2.0 * std::log(u1[i]));
+            const double theta =
+                2.0 * 3.141592653589793238462643383279502884 * u2[i];
+            maxError = std::max(
+                maxError, std::fabs(gc[i] - r * std::cos(theta)));
+            maxError = std::max(
+                maxError, std::fabs(gs[i] - r * std::sin(theta)));
+        }
+        EXPECT_LT(maxError, gaussKernelMaxError / 10.0);
+    }
+}
+
+// Where both quantize builds accept a lane, they must agree on its
+// count: acceptance means the count is provably the exact one, so
+// any disagreement would break the bit-identity argument.
+TEST(GaussKernel, QuantizeBuildsAgreeOnAcceptedLanes)
+{
+    SampleQuantizeFn avx2 = sampleQuantizeAvx2OrNull();
+    if (!avx2)
+        GTEST_SKIP() << "binary built without the AVX2 kernel";
+
+    constexpr int n = 4096;
+    std::vector<double> w(n), g1(n), g2(n);
+    std::mt19937_64 rng(0x5678u);
+    std::uniform_real_distribution<double> watts(0.0, 120.0);
+    std::normal_distribution<double> gauss(0.0, 1.0);
+    for (int i = 0; i < n; ++i) {
+        w[i] = watts(rng);
+        g1[i] = gauss(rng);
+        g2[i] = gauss(rng);
+    }
+
+    SampleQuantizeParams p;
+    p.sens = 0.09;
+    p.gainFactor = 1.004;
+    p.offsetVolts = 0.002;
+    p.noiseVolts = 0.005;
+    p.ratedAmps = 20.0;
+    p.window = 1e-4;
+    p.zeroWattsGuard = 1e-6;
+
+    std::vector<int32_t> countsA(n, -1), countsB(n, -1);
+    std::vector<int32_t> flaggedA(n), flaggedB(n);
+    const size_t nA = sampleQuantizeBase(
+        w.data(), g1.data(), g2.data(), n, p, countsA.data(),
+        flaggedA.data());
+    const size_t nB = avx2(w.data(), g1.data(), g2.data(), n, p,
+                           countsB.data(), flaggedB.data());
+
+    std::vector<bool> uncertainA(n, false), uncertainB(n, false);
+    for (size_t i = 0; i < nA; ++i)
+        uncertainA[(size_t)flaggedA[i]] = true;
+    for (size_t i = 0; i < nB; ++i)
+        uncertainB[(size_t)flaggedB[i]] = true;
+
+    size_t bothAccepted = 0;
+    for (int s = 0; s < n; ++s) {
+        if (uncertainA[(size_t)s] || uncertainB[(size_t)s])
+            continue;
+        ++bothAccepted;
+        EXPECT_EQ(countsA[(size_t)s], countsB[(size_t)s])
+            << "lane " << s;
+    }
+    // The window above is tight; nearly every lane should be
+    // accepted, otherwise the fast path is not actually fast.
+    EXPECT_GT(bothAccepted, (size_t)(0.99 * n));
+}
 
 } // namespace lhr

@@ -782,20 +782,29 @@ TEST(Sweep, StopFlagCancelsUnstartedCellsAndKeepsCompletedRows)
     }
 }
 
-TEST(Sweep, StopFlagInPerCellModeCancelsToo)
+TEST(Sweep, CellWallTimesAreMeasuredPerCell)
 {
+    // Every cell carries its own measure() time, not a share of some
+    // larger unit of work: eight configurations of one benchmark on
+    // one worker must not all report the same wall time.
     ExperimentRunner runner(0xBEEF);
-    std::atomic<bool> stop{true};
-    SweepOptions options;
-    options.threads = 2;
-    options.batchFill = false;
-    options.stopFlag = &stop;
-    SweepEngine engine(runner, options);
-    const SweepReport report = engine.run(testConfigs(),
-                                          testBenchmarks());
-    for (const SweepCell &cell : report.cells)
-        EXPECT_EQ(cell.status.code(), StatusCode::Cancelled);
-    EXPECT_EQ(runner.cacheStats().lookups(), 0u);
+    std::vector<MachineConfig> configs = standardConfigurations();
+    configs.resize(8);
+    SweepEngine engine(runner, SweepOptions{.threads = 1});
+    const SweepReport report =
+        engine.run(configs, {benchmarkByName("mcf")});
+    ASSERT_EQ(report.cells.size(), 8u);
+    double sum = 0.0;
+    bool allEqual = true;
+    for (const SweepCell &cell : report.cells) {
+        ASSERT_TRUE(cell.ok());
+        EXPECT_GT(cell.wallSec, 0.0);
+        allEqual = allEqual &&
+            cell.wallSec == report.cells.front().wallSec;
+        sum += cell.wallSec;
+    }
+    EXPECT_FALSE(allEqual);
+    EXPECT_EQ(report.sumCellSec, sum);
 }
 
 TEST(Sweep, CacheStatsResetKeepsEntries)
