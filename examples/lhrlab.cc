@@ -51,6 +51,7 @@
 #include "harness/multiprog.hh"
 #include "sensor/sensor.hh"
 #include "serve/loadgen.hh"
+#include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "store/results_store.hh"
 #include "study/study.hh"
@@ -639,6 +640,18 @@ cmdCompare(const std::vector<std::string> &args)
     return 1;
 }
 
+/** A `--deadline` value: milliseconds within 0..maxDeadlineMs. */
+double
+deadlineArg(const std::string &value)
+{
+    const lhr::Expected<double> ms = lhr::parseReal(value);
+    if (!ms.ok() || ms.value() < 0.0 || ms.value() > lhr::maxDeadlineMs)
+        usageError(lhr::msgOf("--deadline takes milliseconds 0..",
+                              static_cast<long>(lhr::maxDeadlineMs),
+                              ", got '", value, "'"));
+    return ms.value();
+}
+
 int
 cmdServe(const std::vector<std::string> &args)
 {
@@ -664,12 +677,7 @@ cmdServe(const std::vector<std::string> &args)
                 usageError("--queue: " + depth.status().message());
             options.queueDepth = static_cast<size_t>(depth.value());
         } else if (opt == "--deadline") {
-            const lhr::Expected<double> deadline =
-                lhr::parseReal(value);
-            if (!deadline.ok() || deadline.value() < 0.0)
-                usageError("--deadline takes milliseconds >= 0, "
-                           "got '" + value + "'");
-            options.defaultDeadlineMs = deadline.value();
+            options.defaultDeadlineMs = deadlineArg(value);
         } else {
             usageError("unknown serve option " + opt);
         }
@@ -689,9 +697,10 @@ cmdServe(const std::vector<std::string> &args)
     if (!status.ok())
         lhr::fatal("serve: " + status.toString());
     const lhr::ServeStatsSnapshot stats = server.statsSnapshot();
-    std::cout << "serve: drained; " << stats.served << " served, "
-              << stats.degraded << " degraded, " << stats.overloaded
-              << " overloaded, " << stats.deadlineShed << " shed, "
+    std::cout << "serve: drained; " << stats.served << " served ("
+              << stats.answeredInline << " inline), "
+              << stats.overloaded << " overloaded, "
+              << stats.deadlineShed << " shed, "
               << stats.coalesced << " coalesced, "
               << stats.refusedDraining << " refused while draining\n";
     return 0;
@@ -740,11 +749,7 @@ cmdLoadgen(const std::vector<std::string> &args)
                 usageError("--keys: " + n.status().message());
             options.keys = static_cast<int>(n.value());
         } else if (opt == "--deadline") {
-            const lhr::Expected<double> ms = lhr::parseReal(value);
-            if (!ms.ok() || ms.value() < 0.0)
-                usageError("--deadline takes milliseconds >= 0, "
-                           "got '" + value + "'");
-            options.deadlineMs = ms.value();
+            options.deadlineMs = deadlineArg(value);
         } else if (opt == "--stall") {
             const lhr::Expected<double> ms = lhr::parseReal(value);
             if (!ms.ok() || ms.value() < 0.0)

@@ -70,15 +70,17 @@ Lab::prewarm(const std::vector<MachineConfig> &configs,
              SweepOptions options)
 {
     // The reference machines back almost every normalized analysis,
-    // so warm them alongside the requested set (deduplicated: the
-    // stock reference configs usually appear in the caller's grid).
+    // so warm them alongside the requested set, deduplicated on
+    // configKey: the stock reference configs usually appear in the
+    // caller's grid, and a config a few MHz off stock shares their
+    // label() but is a different experiment.
     std::vector<MachineConfig> grid = configs;
     std::set<std::string> seen;
     for (const auto &cfg : grid)
-        seen.insert(cfg.label());
+        seen.insert(configKey(cfg));
     for (const auto &id : ReferenceSet::referenceProcessorIds()) {
         MachineConfig cfg = stockConfig(processorById(id));
-        if (seen.insert(cfg.label()).second)
+        if (seen.insert(configKey(cfg)).second)
             grid.push_back(cfg);
     }
     SweepEngine engine(experimentRunner, options);

@@ -206,9 +206,9 @@ class ExperimentRunner
      * Probe the memo cache without computing, blocking, or touching
      * the hit/miss counters: the published measurement if this key
      * has one, nullptr when the key is absent OR still being
-     * computed by another thread. This is the degraded-serve fast
-     * path of `lhrlab serve` — under overload the daemon answers
-     * from whatever is already warm rather than queueing, so the
+     * computed by another thread. This is the warm-key fast path of
+     * `lhrlab serve`: the daemon answers a published key on the
+     * connection thread instead of queueing it for a worker, so the
      * probe must never wait on an in-flight computation.
      */
     [[nodiscard]] const Measurement *peekCache(const MachineConfig &cfg,

@@ -358,6 +358,16 @@ MachineConfig::label() const
     return out;
 }
 
+std::string
+configKey(const MachineConfig &cfg)
+{
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "%s|%d|%d|%.17g|%d",
+                  cfg.spec->id.c_str(), cfg.enabledCores, cfg.smtPerCore,
+                  cfg.clockGhz, cfg.turboEnabled ? 1 : 0);
+    return buf;
+}
+
 double
 MachineConfig::voltageAt(double f_ghz) const
 {

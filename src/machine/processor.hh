@@ -166,6 +166,13 @@ struct MachineConfig
     double voltageAt(double f_ghz) const;
 };
 
+/**
+ * Full-precision identity of a configuration, for deduplicating
+ * grids: two configs share a key only if every field is bit-equal.
+ * label() is NOT a substitute (it rounds the clock to 0.1GHz).
+ */
+std::string configKey(const MachineConfig &cfg);
+
 /** The stock (as-sold) configuration of a processor. */
 MachineConfig stockConfig(const ProcessorSpec &spec);
 

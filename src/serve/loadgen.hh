@@ -9,9 +9,10 @@
  * Each worker opens its own connection and issues measure requests
  * round-robin over a fixed (processor, benchmark) mix; the mix size
  * (`keys`) controls how much cache reuse and coalescing the run
- * exercises. Every reply outcome is counted — ok, degraded,
- * overloaded, deadline-shed, refused — so an overload run reports
- * the daemon's shedding behaviour, not just its throughput.
+ * exercises. Every reply outcome is counted — ok, overloaded,
+ * deadline-shed, refused, and `degraded` as a tripwire the daemon
+ * should never trip — so an overload run reports the daemon's
+ * shedding behaviour, not just its throughput.
  */
 
 #ifndef LHR_SERVE_LOADGEN_HH

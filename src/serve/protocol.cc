@@ -1,5 +1,7 @@
 #include "serve/protocol.hh"
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "util/json.hh"
@@ -104,17 +106,35 @@ parseServeRequest(const std::string &body)
                   op, "\""));
     }
 
-    req.id = static_cast<long>(doc.numberOr("id", 0.0));
-
     bool present = false;
     double number = 0.0;
-    Status status = readNumber(doc, "deadline_ms", present, number);
+    Status status = readNumber(doc, "id", present, number);
     if (!status.ok())
         return status;
     if (present) {
-        if (number < 0.0) {
+        // [LONG_MIN, -LONG_MIN) is exactly the doubles a long holds
+        // (both bounds are powers of two); anything else, such as a
+        // fraction or 1e300, has no faithful echo.
+        constexpr double idLimit =
+            -static_cast<double>(std::numeric_limits<long>::min());
+        if (!(number >= -idLimit && number < idLimit) ||
+            number != std::trunc(number)) {
             return Status::error(StatusCode::InvalidArgument,
-                                 "\"deadline_ms\" must be >= 0");
+                                 "\"id\" must be an integer in the "
+                                 "range of a long");
+        }
+        req.id = static_cast<long>(number);
+    }
+
+    status = readNumber(doc, "deadline_ms", present, number);
+    if (!status.ok())
+        return status;
+    if (present) {
+        if (number < 0.0 || number > maxDeadlineMs) {
+            return Status::error(
+                StatusCode::InvalidArgument,
+                msgOf("\"deadline_ms\" must be 0..",
+                      static_cast<long>(maxDeadlineMs), " (one hour)"));
         }
         req.deadlineMs = number;
     }

@@ -27,8 +27,10 @@
  * the admission queue's backpressure, `deadline-exceeded` is shed
  * work (never computed), `shutting-down` is the drain refusing new
  * work while flushing admitted work. An ok reply to a measure
- * carries the measurement fields plus "degraded": true when the
- * answer was served from warm cache while the queue was full.
+ * carries the measurement fields plus a "degraded" flag. The daemon
+ * always sends it false (warm keys are answered inline with the same
+ * bytes a worker sends); clients still count a true value as a
+ * tripwire.
  */
 
 #ifndef LHR_SERVE_PROTOCOL_HH
@@ -45,7 +47,17 @@
 namespace lhr
 {
 
-/** Request kinds. Measure is admission-controlled; the rest answer inline. */
+/**
+ * Cap on a request's `deadline_ms` (and on the CLI's `--deadline`):
+ * one hour. Larger values would overflow the daemon's steady-clock
+ * arithmetic, so they are refused as out of contract, not clamped.
+ */
+inline constexpr double maxDeadlineMs = 3600.0 * 1000.0;
+
+/**
+ * Request kinds. Measure is admission-controlled (a warm key is
+ * answered inline, other work queues); the rest always answer inline.
+ */
 enum class ServeOp
 {
     Measure,
@@ -58,7 +70,7 @@ enum class ServeOp
 enum class ServeStatus
 {
     Ok,
-    Overloaded,       ///< admission queue full, nothing cached
+    Overloaded,       ///< admission queue full
     DeadlineExceeded, ///< deadline expired before compute; shed
     ShuttingDown,     ///< drain in progress; request refused
     ParseError,       ///< malformed frame body
@@ -73,7 +85,7 @@ enum class ServeStatus
 struct ServeRequest
 {
     ServeOp op = ServeOp::Measure;
-    long id = 0;
+    long id = 0;       ///< echoed in the reply
     std::string proc;  ///< processor id, e.g. "i7 (45)"
     std::string bench; ///< benchmark name, e.g. "mcf"
     std::optional<int> cores;
@@ -118,8 +130,8 @@ resolveQuery(const ServeRequest &req);
                                          const std::string &message);
 
 /**
- * An ok measure reply carrying the measurement fields; `degraded`
- * marks answers served from warm cache while the queue was full.
+ * An ok measure reply carrying the measurement fields and the wire's
+ * `degraded` flag (the daemon always passes false).
  */
 [[nodiscard]] std::string measurementReplyJson(long id,
                                                const Measurement &m,

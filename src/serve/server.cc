@@ -44,7 +44,7 @@ struct ClientConn
     std::mutex writeMutex;
 };
 
-/** One admitted measure request, waiting for a worker. */
+/** One queued measure request, waiting for a worker. */
 struct Job
 {
     ServeRequest req;
@@ -59,8 +59,8 @@ struct Counters
 {
     std::atomic<uint64_t> connections{0};
     std::atomic<uint64_t> admitted{0};
+    std::atomic<uint64_t> answeredInline{0};
     std::atomic<uint64_t> served{0};
-    std::atomic<uint64_t> degraded{0};
     std::atomic<uint64_t> overloaded{0};
     std::atomic<uint64_t> deadlineShed{0};
     std::atomic<uint64_t> coalesced{0};
@@ -124,8 +124,8 @@ LabServer::Impl::snapshot() const
     ServeStatsSnapshot s;
     s.connections = counters.connections.load();
     s.admitted = counters.admitted.load();
+    s.answeredInline = counters.answeredInline.load();
     s.served = counters.served.load();
-    s.degraded = counters.degraded.load();
     s.overloaded = counters.overloaded.load();
     s.deadlineShed = counters.deadlineShed.load();
     s.coalesced = counters.coalesced.load();
@@ -148,8 +148,8 @@ LabServer::Impl::serveStats(const ServeRequest &req, ClientConn &conn)
     json.key("stats").beginObject();
     json.key("connections").value(s.connections);
     json.key("admitted").value(s.admitted);
+    json.key("answered_inline").value(s.answeredInline);
     json.key("served").value(s.served);
-    json.key("degraded").value(s.degraded);
     json.key("overloaded").value(s.overloaded);
     json.key("deadline_shed").value(s.deadlineShed);
     json.key("coalesced").value(s.coalesced);
@@ -188,6 +188,24 @@ LabServer::Impl::serveMeasure(const ServeRequest &req,
         return;
     }
 
+    // A published key is answered here, on the connection thread,
+    // with the same bytes a worker would send: a memo hit costs far
+    // less than the hand-off to a worker and back. peekCache never
+    // blocks, so a key still being computed falls through to the
+    // queue and coalesces there. A stalled request is load-test work
+    // standing in for an expensive query, so it always queues.
+    if (req.stallMs <= 0.0) {
+        if (const Measurement *cached = runner.peekCache(
+                resolved.value().config, *resolved.value().benchmark)) {
+            counters.admitted.fetch_add(1);
+            counters.answeredInline.fetch_add(1);
+            counters.served.fetch_add(1);
+            sendBestEffort(*conn,
+                           measurementReplyJson(req.id, *cached, false));
+            return;
+        }
+    }
+
     Job job;
     job.req = req;
     job.query = resolved.value();
@@ -207,18 +225,8 @@ LabServer::Impl::serveMeasure(const ServeRequest &req,
         return;
     }
 
-    // Queue full (or closed under a racing drain): degrade before
-    // shedding. A warm cache entry answers instantly without a
-    // worker; only a cold key is refused.
-    const Measurement *cached =
-        runner.peekCache(resolved.value().config,
-                         *resolved.value().benchmark);
-    if (cached != nullptr) {
-        counters.degraded.fetch_add(1);
-        sendBestEffort(*conn,
-                       measurementReplyJson(req.id, *cached, true));
-        return;
-    }
+    // Queue full, or closed under a racing drain. Only cold or
+    // stalled work gets this far: refuse it, typed.
     if (queue.closed()) {
         counters.refusedDraining.fetch_add(1);
         sendBestEffort(*conn,

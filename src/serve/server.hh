@@ -5,15 +5,18 @@
  *
  * Robustness model (DESIGN.md section 11):
  *
- *  - Admission control. Measure requests pass through a bounded
- *    queue. A full queue NEVER blocks the client: the daemon either
- *    degrades (answers immediately from warm cache, reply flagged
- *    "degraded") or sheds (typed `overloaded` reply). Backpressure
+ *  - Admission control. A measure request whose key is already
+ *    published (and that asks for no load-test stall) is answered
+ *    inline on its connection thread from the warm memo cache —
+ *    the same bytes a worker would send. Everything else (cold
+ *    keys, keys still being computed, stalled requests) passes
+ *    through a bounded queue. A full queue NEVER blocks the client:
+ *    the daemon sheds with a typed `overloaded` reply. Backpressure
  *    is explicit and observable, not an unbounded buffer.
  *
- *  - Deadlines. Each request carries (or inherits) a deadline.
- *    Expired work is shed at dequeue — a worker never spends compute
- *    on an answer nobody is waiting for.
+ *  - Deadlines. Each queued request carries (or inherits) a
+ *    deadline. Expired work is shed at dequeue — a worker never
+ *    spends compute on an answer nobody is waiting for.
  *
  *  - Coalescing. Concurrent requests for the same experiment key
  *    share one computation through the runner's call_once memo;
@@ -63,10 +66,10 @@ struct ServeOptions
 struct ServeStatsSnapshot
 {
     uint64_t connections = 0;    ///< clients accepted
-    uint64_t admitted = 0;       ///< measures that entered the queue
-    uint64_t served = 0;         ///< measures answered with computed data
-    uint64_t degraded = 0;       ///< queue-full answers from warm cache
-    uint64_t overloaded = 0;     ///< queue-full sheds (nothing cached)
+    uint64_t admitted = 0;       ///< measures answered inline or queued
+    uint64_t answeredInline = 0; ///< warm measures answered without a worker
+    uint64_t served = 0;         ///< `ok` measure replies
+    uint64_t overloaded = 0;     ///< queue-full sheds
     uint64_t deadlineShed = 0;   ///< admitted but expired before compute
     uint64_t coalesced = 0;      ///< measures that joined an in-flight run
     uint64_t parseErrors = 0;    ///< malformed frames answered with an error

@@ -1,6 +1,5 @@
 #include "study/study.hh"
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -159,19 +158,6 @@ registerBuiltinStudies(StudyRegistry &registry)
 
 namespace
 {
-
-/** Full-precision configuration identity (label() rounds the clock). */
-std::string
-configKey(const MachineConfig &cfg)
-{
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "%s|%d|%d|%.17g|%d",
-                  cfg.spec->id.c_str(),
-                  static_cast<int>(cfg.enabledCores),
-                  static_cast<int>(cfg.smtPerCore), cfg.clockGhz,
-                  cfg.turboEnabled ? 1 : 0);
-    return buf;
-}
 
 std::unique_ptr<Sink>
 makeSink(std::ostream &os, OutputFormat format, const Study &study,

@@ -151,7 +151,7 @@ struct StudyOptions
 
 /**
  * The union of the studies' declared grids, deduplicated by full
- * configuration identity (label() truncates the clock).
+ * configuration identity, configKey() (label() rounds the clock).
  */
 std::vector<MachineConfig> unionGrid(
     const std::vector<const Study *> &studies);

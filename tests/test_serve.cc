@@ -2,10 +2,10 @@
  * @file
  * Tests for the lab-as-a-service layer: the bounded admission
  * queue, the framed local-socket transport, the wire protocol, and
- * the daemon's overload behaviour — backpressure without blocking,
- * deadline shedding, degraded cache serving, request coalescing,
- * typed errors for malformed frames, and a clean drain that never
- * truncates a reply.
+ * the daemon's overload behaviour — warm keys answered inline,
+ * backpressure without blocking, deadline shedding, request
+ * coalescing, typed errors for malformed frames, and a clean drain
+ * that never truncates a reply.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -119,17 +120,22 @@ class TestDaemon
     Status result;
 };
 
-/** Send one request frame and read one reply frame. */
-JsonValue
-roundTrip(const Socket &sock, const std::string &body)
+/** Send one request frame and read one reply frame, unparsed. */
+std::string
+roundTripRaw(const Socket &sock, const std::string &body)
 {
     const Status sent = writeFrame(sock, body);
     EXPECT_TRUE(sent.ok()) << sent.toString();
     Expected<std::string> reply = readFrame(sock, 1 << 20);
     EXPECT_TRUE(reply.ok()) << reply.status().toString();
-    if (!reply.ok())
-        return JsonValue();
-    Expected<JsonValue> parsed = parseJson(reply.value());
+    return reply.ok() ? reply.value() : std::string();
+}
+
+/** Send one request frame and read one reply frame. */
+JsonValue
+roundTrip(const Socket &sock, const std::string &body)
+{
+    Expected<JsonValue> parsed = parseJson(roundTripRaw(sock, body));
     EXPECT_TRUE(parsed.ok()) << parsed.status().toString();
     return parsed.ok() ? parsed.value() : JsonValue();
 }
@@ -329,6 +335,47 @@ TEST(Protocol, TypedErrorsForBadRequests)
                   .status()
                   .code(),
               StatusCode::InvalidArgument);
+    // An id a long cannot hold has no faithful echo: refused, not
+    // cast (the cast is undefined behaviour).
+    for (const char *id : {"1e300", "-1e300", "9223372036854775808",
+                           "1.5", "\"seven\""}) {
+        EXPECT_EQ(parseServeRequest(std::string("{\"op\": \"ping\","
+                                                " \"id\": ") +
+                                    id + "}")
+                      .status()
+                      .code(),
+                  StatusCode::InvalidArgument)
+            << "id " << id;
+    }
+    // Both ends of long's range still echo exactly.
+    Expected<ServeRequest> lowest = parseServeRequest(
+        "{\"op\": \"ping\", \"id\": -9223372036854775808}");
+    ASSERT_TRUE(lowest.ok()) << lowest.status().toString();
+    EXPECT_EQ(lowest.value().id, std::numeric_limits<long>::min());
+    Expected<ServeRequest> large = parseServeRequest(
+        "{\"op\": \"ping\", \"id\": 9007199254740992}");
+    ASSERT_TRUE(large.ok()) << large.status().toString();
+    EXPECT_EQ(large.value().id, 9007199254740992L);
+}
+
+TEST(Protocol, DeadlinesBeyondTheCapAreRefusedNotShed)
+{
+    // A deadline past the clock's range used to overflow the
+    // daemon's deadline arithmetic, so a cold request came back
+    // deadline-exceeded at once without running.
+    for (const char *ms : {"1e13", "1e300", "3600000.5"}) {
+        Expected<ServeRequest> parsed = parseServeRequest(
+            std::string("{\"op\": \"measure\", \"proc\": \"i7 (45)\","
+                        " \"bench\": \"mcf\", \"deadline_ms\": ") +
+            ms + "}");
+        ASSERT_FALSE(parsed.ok()) << "deadline_ms " << ms;
+        EXPECT_EQ(parsed.status().code(), StatusCode::InvalidArgument);
+    }
+    Expected<ServeRequest> atCap = parseServeRequest(
+        "{\"op\": \"measure\", \"proc\": \"i7 (45)\","
+        " \"bench\": \"mcf\", \"deadline_ms\": 3600000}");
+    ASSERT_TRUE(atCap.ok()) << atCap.status().toString();
+    EXPECT_DOUBLE_EQ(atCap.value().deadlineMs, maxDeadlineMs);
 }
 
 TEST(Protocol, ResolveEnforcesTheMeasureContract)
@@ -390,11 +437,25 @@ TEST(Serve, AnswersMeasurePingAndStats)
         stockConfig(processorById("i7 (45)")), benchmarkByName("mcf"));
     EXPECT_NEAR(reply.numberOr("time_sec", 0.0), m.timeSec, 1e-6);
 
+    // Two more asks for the now-warm key are answered inline, with
+    // the same measurement.
+    for (long id = 3; id <= 4; ++id) {
+        const JsonValue warm = roundTrip(
+            sock,
+            formatServeRequest(measureRequest(id, "i7 (45)", "mcf")));
+        EXPECT_EQ(warm.stringOr("status", ""), "ok");
+        EXPECT_EQ(warm.numberOr("time_sec", -1.0),
+                  reply.numberOr("time_sec", -2.0));
+    }
+
     const JsonValue stats =
-        roundTrip(sock, "{\"op\":\"stats\",\"id\":3}");
+        roundTrip(sock, "{\"op\":\"stats\",\"id\":5}");
     EXPECT_EQ(stats.stringOr("status", ""), "ok");
-    ASSERT_NE(stats.find("stats"), nullptr);
-    EXPECT_EQ(stats.find("stats")->numberOr("served", -1), 1.0);
+    const JsonValue *counters = stats.find("stats");
+    ASSERT_NE(counters, nullptr);
+    EXPECT_EQ(counters->numberOr("admitted", -1), 3.0);
+    EXPECT_EQ(counters->numberOr("answered_inline", -1), 2.0);
+    EXPECT_EQ(counters->numberOr("served", -1), 3.0);
 }
 
 TEST(Serve, QueueFullRepliesOverloadedImmediately)
@@ -436,7 +497,7 @@ TEST(Serve, QueueFullRepliesOverloadedImmediately)
     EXPECT_EQ(readFrame(jammer, 1 << 16).ok(), true);
 }
 
-TEST(Serve, QueueFullServesWarmKeysDegraded)
+TEST(Serve, WarmKeyAnswersInlineWhileTheWorkerIsStalled)
 {
     ServeOptions options;
     options.workers = 1;
@@ -445,9 +506,10 @@ TEST(Serve, QueueFullServesWarmKeysDegraded)
     const Socket sock = daemon.connect();
 
     // Warm the cache with one computed answer.
-    const JsonValue warm = roundTrip(
-        sock, formatServeRequest(measureRequest(1, "i7 (45)", "mcf")));
-    ASSERT_EQ(warm.stringOr("status", ""), "ok");
+    const std::string request =
+        formatServeRequest(measureRequest(1, "i7 (45)", "mcf"));
+    const std::string first = roundTripRaw(sock, request);
+    ASSERT_EQ(parseJson(first).value().stringOr("status", ""), "ok");
 
     // Jam the worker and the queue with stalled cold keys.
     const Socket jammer = daemon.connect();
@@ -460,19 +522,25 @@ TEST(Serve, QueueFullServesWarmKeysDegraded)
                     .ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-    // The warm key answers instantly from cache, flagged degraded.
+    // The warm key never reaches the jammed queue: it is answered on
+    // the connection thread, an ordinary ok reply, byte-equal to the
+    // worker's first answer.
     const Clock::time_point before = Clock::now();
-    const JsonValue reply = roundTrip(
-        sock, formatServeRequest(measureRequest(4, "i7 (45)", "mcf")));
+    const std::string again = roundTripRaw(sock, request);
+    const double elapsed_ms = msSince(before);
+    EXPECT_EQ(again, first);
+    const JsonValue reply = parseJson(again).value();
     EXPECT_EQ(reply.stringOr("status", ""), "ok");
     ASSERT_NE(reply.find("degraded"), nullptr);
-    EXPECT_TRUE(reply.find("degraded")->asBoolean());
-    EXPECT_NEAR(reply.numberOr("time_sec", -1.0),
-                warm.numberOr("time_sec", -2.0), 1e-9);
-    EXPECT_LT(msSince(before), 200.0);
+    EXPECT_FALSE(reply.find("degraded")->asBoolean());
+    EXPECT_LT(elapsed_ms, 50.0);
 
     EXPECT_TRUE(readFrame(jammer, 1 << 16).ok());
     EXPECT_TRUE(readFrame(jammer, 1 << 16).ok());
+    const ServeStatsSnapshot stats = daemon.server->statsSnapshot();
+    EXPECT_EQ(stats.answeredInline, 1u);
+    EXPECT_EQ(stats.admitted, 4u);
+    EXPECT_EQ(stats.overloaded, 0u);
 }
 
 TEST(Serve, ExpiredDeadlinesAreShedWithoutComputing)

@@ -125,6 +125,25 @@ TEST(StudyGrid, DeclaredGridCoversEveryMeasurement)
         << "a study measured outside its declared grid";
 }
 
+TEST(StudyGrid, PrewarmWarmsStockReferencesNextToOffClockVariants)
+{
+    // A reference part 5MHz below stock shares the stock config's
+    // display label but is a different experiment: prewarm must
+    // still warm the stock reference every normalized analysis uses.
+    const MachineConfig stock = stockConfig(processorById("i5 (32)"));
+    const MachineConfig offClock =
+        withClock(stock, stock.clockGhz - 0.005);
+    ASSERT_EQ(offClock.label(), stock.label());
+
+    Lab lab;
+    lab.prewarm({offClock});
+    lab.runner().resetCacheStats();
+    for (const Benchmark &bench : allBenchmarks())
+        (void)lab.runner().measure(stock, bench);
+    EXPECT_EQ(lab.runner().cacheStats().misses, 0u)
+        << "the stock reference was not prewarmed";
+}
+
 TEST(StudyGrid, UnionGridDeduplicates)
 {
     auto &registry = StudyRegistry::instance();
