@@ -1,6 +1,8 @@
 #include "machine/custom.hh"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -71,7 +73,29 @@ parseNumber(const std::string &key, const std::string &value)
     if (end == value.c_str() || *end != '\0')
         fatal("CustomProcessor: bad number for " + key + ": '" +
               value + "'");
+    // NaN would slip through every range check below, inf through
+    // the positivity ones.
+    if (!std::isfinite(parsed))
+        fatal("CustomProcessor: non-finite number for " + key + ": '" +
+              value + "'");
     return parsed;
+}
+
+/**
+ * A count-like key: a finite number that is integral and fits an
+ * int, so the conversion is exact rather than truncating (2.7) or
+ * undefined (1e300).
+ */
+int
+parseInt(const std::string &key, const std::string &value)
+{
+    const double parsed = parseNumber(key, value);
+    if (!exactlyEqual(parsed, std::trunc(parsed)) ||
+        parsed < static_cast<double>(std::numeric_limits<int>::min()) ||
+        parsed > static_cast<double>(std::numeric_limits<int>::max()))
+        fatal("CustomProcessor: " + key + " is not an int: '" + value +
+              "'");
+    return static_cast<int>(parsed);
 }
 
 } // namespace
@@ -107,10 +131,17 @@ CustomProcessor::parse(std::istream &is)
     auto number = [&](const std::string &key) {
         return parseNumber(key, require(key));
     };
+    auto integer = [&](const std::string &key) {
+        return parseInt(key, require(key));
+    };
     auto optional = [&](const std::string &key, double fallback) {
         const auto it = kv.find(key);
         return it == kv.end() ? fallback
                               : parseNumber(key, it->second);
+    };
+    auto optionalInt = [&](const std::string &key, int fallback) {
+        const auto it = kv.find(key);
+        return it == kv.end() ? fallback : parseInt(key, it->second);
     };
 
     auto custom = std::unique_ptr<CustomProcessor>(
@@ -122,15 +153,15 @@ CustomProcessor::parse(std::istream &is)
     spec.sSpec = kv.count("sspec") ? kv["sspec"] : "custom";
     spec.codename = kv.count("codename") ? kv["codename"] : "custom";
     spec.family = parseFamily(require("family"));
-    const int nm = static_cast<int>(number("node_nm"));
+    const int nm = integer("node_nm");
     spec.node = techNodeByNm(nm).node;
     spec.era = kv.count("era") ? parseEra(kv["era"])
                                : defaultEra(spec.family, spec.node);
     spec.releaseDate = kv.count("released") ? kv["released"] : "--";
     spec.releasePriceUsd = optional("price_usd", 0.0);
 
-    spec.cores = static_cast<int>(number("cores"));
-    spec.smtWays = static_cast<int>(number("smt"));
+    spec.cores = integer("cores");
+    spec.smtWays = integer("smt");
     spec.llcMb = number("llc_mb");
     spec.stockClockGhz = number("clock_ghz");
     spec.transistorsM = number("transistors_m");
@@ -154,10 +185,8 @@ CustomProcessor::parse(std::istream &is)
     spec.leakCal = optional("leak_cal", 1.0);
     spec.turboVKickV = optional("turbo_vkick", 0.0);
     spec.turboStepGhz = optional("turbo_step_ghz", 0.133);
-    spec.turboSteps1C =
-        static_cast<int>(optional("turbo_steps_1c", 2.0));
-    spec.turboStepsAllC =
-        static_cast<int>(optional("turbo_steps_allc", 1.0));
+    spec.turboSteps1C = optionalInt("turbo_steps_1c", 2);
+    spec.turboStepsAllC = optionalInt("turbo_steps_allc", 1);
     spec.avxClockPenalty = optional("avx_clock_penalty", 0.0);
 
     // Validate the physics-facing fields now, loudly.

@@ -52,8 +52,10 @@ class CustomProcessor
     /**
      * Parse a `key = value` definition ('#' comments, blank lines
      * allowed). Unknown keys and malformed values are fatal() —
-     * definitions are user input. Missing optional keys take
-     * defaults derived from the family and node.
+     * definitions are user input. Numbers must be finite, and the
+     * count keys (node_nm, cores, smt, turbo_steps_1c,
+     * turbo_steps_allc) integers in int range. Missing optional
+     * keys take defaults derived from the family and node.
      */
     static std::unique_ptr<CustomProcessor> parse(std::istream &is);
 

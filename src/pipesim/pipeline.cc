@@ -204,6 +204,20 @@ streamToTasks(
     pool.wait();
 }
 
+/**
+ * std::lround for x >= 0, inline: truncate, then round a fraction of
+ * one half or more up. x - trunc(x) is exact below 2^52, and every
+ * double from 2^52 up is already an integer.
+ */
+uint64_t
+roundNonNegative(double x)
+{
+    uint64_t q = static_cast<uint64_t>(x);
+    if (x - static_cast<double>(q) >= 0.5)
+        ++q;
+    return q;
+}
+
 } // namespace
 
 /**
@@ -256,28 +270,36 @@ class PipelineSim::Lane
 void
 PipelineSim::Lane::consume(const TraceBlock &block, uint64_t base)
 {
-    const PipelineConfig &cfg = sim.cfg;
     const MicroOpBatch &batch = block.ops;
     // Work on locals: the ring stores could otherwise alias the
-    // members and force a reload of every counter per op.
+    // members and force a reload of every counter, every config
+    // field and the front-end division per op.
     double frontEnd = this->frontEnd;
     double memStall = this->memStall;
     double branchStall = this->branchStall;
     double totalStall = this->totalStall;
     double lastCompletion = this->lastCompletion;
+    const double slotCycles = 1.0 / slotsPerCycle;
+    const double meanDep = this->meanDep;
+    const uint64_t warmup = this->warmup;
+    const auto window = static_cast<size_t>(sim.cfg.windowSize);
+    const bool inOrder = sim.cfg.inOrder;
+    const double branchPenalty = sim.cfg.branchPenalty;
+    double *const completion = this->completion.data();
+    uint8_t *const wasLoad = this->wasLoad.data();
+    const double *const logDep = block.logDep.data();
 
     for (size_t j = 0; j < batch.size(); ++j) {
         const uint64_t i = base + j;
         if (i == warmup)
             measureStartCycle = frontEnd;
 
-        frontEnd += 1.0 / slotsPerCycle;
+        frontEnd += slotCycles;
 
         // Dependence: this op consumes the value of an op `d`
         // earlier (exponential distances around the mean).
-        const uint64_t dist = std::max<uint64_t>(
-            1,
-            static_cast<uint64_t>(std::lround(-meanDep * block.logDep[j])));
+        const uint64_t dist =
+            std::max<uint64_t>(1, roundNonNegative(-meanDep * logDep[j]));
         double ready = 0.0;
         bool depOnLoad = false;
         if (dist <= i && dist < ring) {
@@ -288,7 +310,6 @@ PipelineSim::Lane::consume(const TraceBlock &block, uint64_t base)
         // Window constraint: no more than windowSize ops in
         // flight (stall-on-use with a tiny window models
         // in-order issue).
-        const auto window = static_cast<size_t>(cfg.windowSize);
         double windowReady = 0.0;
         bool windowOnLoad = false;
         if (i >= window) {
@@ -309,7 +330,7 @@ PipelineSim::Lane::consume(const TraceBlock &block, uint64_t base)
                 (windowReady > ready && windowOnLoad)) {
                 memStall += stall;
             }
-            if (cfg.inOrder)
+            if (inOrder)
                 frontEnd = issue;
         }
 
@@ -330,7 +351,7 @@ PipelineSim::Lane::consume(const TraceBlock &block, uint64_t base)
             if (predictor.runInline(batch.pc[j], batch.taken[j] != 0)) {
                 // Redirect after resolution.
                 const double resolve = issue + 1.0;
-                const double redirect = resolve + cfg.branchPenalty;
+                const double redirect = resolve + branchPenalty;
                 if (redirect > frontEnd) {
                     branchStall += redirect - frontEnd;
                     totalStall += redirect - frontEnd;

@@ -137,12 +137,16 @@ percentileOf(std::vector<double> xs, double pct)
         panic("percentileOf on empty vector");
     if (pct < 0.0 || pct > 100.0)
         panic("percentileOf: percentile out of range");
-    std::sort(xs.begin(), xs.end());
     const double rank = pct / 100.0 * (xs.size() - 1);
     const size_t lo = static_cast<size_t>(std::floor(rank));
-    const size_t hi = std::min(lo + 1, xs.size() - 1);
     const double frac = rank - lo;
-    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+    // The two order statistics a full sort would supply: select the
+    // lo-th, then the next one up is the smallest element above it.
+    const auto loIt = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(xs.begin(), loIt, xs.end());
+    const double above =
+        lo + 1 < xs.size() ? *std::min_element(loIt + 1, xs.end()) : *loIt;
+    return *loIt * (1.0 - frac) + above * frac;
 }
 
 } // namespace lhr

@@ -80,7 +80,8 @@ double geomeanOf(const std::vector<double> &xs);
 
 /**
  * Percentile in [0, 100] with linear interpolation between order
- * statistics. Copies and sorts; panic()s on empty input or an
+ * statistics. Copies, then selects the two order statistics it
+ * interpolates (no full sort); panic()s on empty input or an
  * out-of-range percentile.
  */
 double percentileOf(std::vector<double> xs, double pct);

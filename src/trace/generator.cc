@@ -58,7 +58,7 @@ AddressGenerator::sampleDepth()
 uint64_t
 AddressGenerator::next()
 {
-    uint64_t block = 0;
+    uint32_t block = 0;
     const bool cold = rng.uniform() < coldProb;
     const size_t depth = cold ? maxStackBlocks : sampleDepth();
 
@@ -67,10 +67,14 @@ AddressGenerator::next()
         block = stack.touch(depth);
     } else {
         // Cold or deeper than anything seen: a fresh block.
-        block = (1ull << 40) + nextFreshBlock++;
+        if (nextFreshBlock > UINT32_MAX)
+            panic("AddressGenerator: more than 2^32 fresh blocks");
+        block = static_cast<uint32_t>(nextFreshBlock++);
         stack.pushFront(block);
     }
-    return block * lineBytes + rng.below(lineBytes / 8) * 8;
+    // Block ids count from 0; addresses start at block 2^40.
+    return ((1ull << 40) + block) * lineBytes +
+        rng.below(lineBytes / 8) * 8;
 }
 
 TraceGenerator::TraceGenerator(const Benchmark &bench, uint64_t seed)

@@ -125,7 +125,7 @@ class AddressGenerator
     double coldProb;
     double wsBlocks;     ///< working-set truncation depth (blocks)
     double invNegAlpha;  ///< -1/alpha, hoisted out of sampleDepth
-    uint64_t nextFreshBlock;
+    uint64_t nextFreshBlock;  ///< id the next fresh block gets
     LruStack stack;      ///< order-statistic move-to-front stack
     Rng rng;
 };

@@ -126,7 +126,7 @@ LruStack::rebuild()
     while (newArena < 4 * arenaCount)
         newArena <<= 1;
 
-    std::vector<uint64_t> ordered;
+    std::vector<uint32_t> ordered;
     ordered.reserve(arenaCount);
     for (size_t w = frontPos / slotsPerWord; w < words.size(); ++w) {
         uint64_t word = words[w];
@@ -155,7 +155,7 @@ LruStack::rebuild()
 }
 
 void
-LruStack::place(uint64_t block)
+LruStack::place(uint32_t block)
 {
     if (frontPos == 0)
         rebuild();
@@ -169,7 +169,7 @@ LruStack::place(uint64_t block)
 }
 
 void
-LruStack::insertFront(uint64_t block)
+LruStack::insertFront(uint32_t block)
 {
     if (frontCount == frontCapacity) {
         // Spill the deep half into the arena, deepest first so the
@@ -183,18 +183,18 @@ LruStack::insertFront(uint64_t block)
     ++frontCount;
 }
 
-uint64_t
+uint32_t
 LruStack::touchDeep(size_t depth)
 {
     const size_t pos = select(depth - frontCount);
-    const uint64_t block = slots[pos];
+    const uint32_t block = slots[pos];
     removeSlot(pos);
     insertFront(block);
     return block;
 }
 
 void
-LruStack::pushFrontSlow(uint64_t block)
+LruStack::pushFrontSlow(uint32_t block)
 {
     insertFront(block);
     if (size() > maxBlocks) {

@@ -42,7 +42,11 @@
 namespace lhr
 {
 
-/** A move-to-front list with fast access by stack depth. */
+/**
+ * A move-to-front list of 32-bit block ids with fast access by stack
+ * depth. Ids rather than addresses keep every ring, arena and
+ * rebuild entry at four bytes; the caller maps ids to addresses.
+ */
 class LruStack
 {
   public:
@@ -58,7 +62,7 @@ class LruStack
      * Defined inline: the ring-resident shallow case is the common
      * one, and its cost is a short L1 memmove.
      */
-    uint64_t touch(size_t depth)
+    uint32_t touch(size_t depth)
     {
         if (depth == 0 || depth > size())
             panicDepth();
@@ -75,20 +79,20 @@ class LruStack
         // that large depths were routed to touchDeep above.
         const size_t head = frontHead & ringMask;
         const size_t idx = (head + depth - 1) & ringMask;
-        const uint64_t block = frontBuf[idx];
+        const uint32_t block = frontBuf[idx];
         // The destination is formed from data(): at head == ringMask
         // it is one past the end (with a zero-length slide), which
         // operator[] may not index.
         if (idx >= head) {
             std::memmove(frontBuf.data() + head + 1, &frontBuf[head],
-                         (idx - head) * sizeof(uint64_t));
+                         (idx - head) * sizeof(uint32_t));
         } else {
             std::memmove(&frontBuf[1], &frontBuf[0],
-                         idx * sizeof(uint64_t));
+                         idx * sizeof(uint32_t));
             frontBuf[0] = frontBuf[frontCapacity - 1];
             std::memmove(frontBuf.data() + head + 1, &frontBuf[head],
                          (frontCapacity - 1 - head) *
-                             sizeof(uint64_t));
+                             sizeof(uint32_t));
         }
         frontBuf[head] = block;
         return block;
@@ -99,7 +103,7 @@ class LruStack
      * its bound, the deepest block falls off. Inline fast path: with
      * ring room and the bound unreached, a push is a head decrement.
      */
-    void pushFront(uint64_t block)
+    void pushFront(uint32_t block)
     {
         if (frontCount < frontCapacity && size() < maxBlocks) {
             frontHead = (frontHead - 1) & ringMask;
@@ -134,19 +138,19 @@ class LruStack
     }
 
     /** Arena half of touch(): rank-select, remove, reinsert. */
-    uint64_t touchDeep(size_t depth);
+    uint32_t touchDeep(size_t depth);
 
     /** pushFront() with a full ring or the size bound reached. */
-    void pushFrontSlow(uint64_t block);
+    void pushFrontSlow(uint32_t block);
 
     /** Out-of-line panic keeps touch() small enough to inline. */
     [[noreturn]] static void panicDepth();
 
     /** Make `block` the new depth-1 entry of the ring. */
-    void insertFront(uint64_t block);
+    void insertFront(uint32_t block);
 
     /** Claim the arena slot in front of everything for `block`. */
-    void place(uint64_t block);
+    void place(uint32_t block);
 
     /** Mark an occupied arena slot free. */
     void removeSlot(size_t pos);
@@ -160,12 +164,12 @@ class LruStack
     size_t maxBlocks;
     size_t frontCount;  ///< live ring entries, MRU at frontHead
     size_t frontHead;   ///< ring index of the depth-1 entry
-    std::array<uint64_t, frontCapacity> frontBuf;
+    std::array<uint32_t, frontCapacity> frontBuf;
 
     size_t arenaSize;   ///< multiple of slotsPerBlock
     size_t frontPos;    ///< next arena slot a place() claims, +1
     size_t arenaCount;  ///< occupied arena slots
-    std::vector<uint64_t> slots;
+    std::vector<uint32_t> slots;
     std::vector<uint64_t> words;        ///< occupancy bitmap
     std::vector<uint32_t> blockCounts;  ///< occupancy per 4K slots
     std::vector<uint32_t> superCounts;  ///< occupancy per 256K slots

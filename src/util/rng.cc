@@ -54,6 +54,30 @@ Rng::gaussian(double mean, double stddev)
 }
 
 void
+Rng::fillBelow(uint64_t n, uint64_t *out, size_t count)
+{
+    if (n == 0)
+        panicBelowZero();
+    const uint64_t limit = UINT64_MAX - UINT64_MAX % n;
+    // Direct remainder (Lemire, Kaser and Kurz): with
+    // c = ceil(2^128 / n), v % n is the high 64 bits of
+    // ((c * v) mod 2^128) * n, exact for every 64-bit v and n. At
+    // n = 1, c wraps to 0 and every remainder is 0, as it must be.
+    using u128 = unsigned __int128;
+    const u128 c = ~u128{0} / n + 1;
+    for (size_t k = 0; k < count; ++k) {
+        uint64_t v = 0;
+        do {
+            v = next();
+        } while (v >= limit);
+        const u128 frac = c * v;
+        const u128 lowHalf = u128{static_cast<uint64_t>(frac)} * n >> 64;
+        const u128 highHalf = (frac >> 64) * n;
+        out[k] = static_cast<uint64_t>((lowHalf + highHalf) >> 64);
+    }
+}
+
+void
 Rng::panicBelowZero()
 {
     panic("Rng::below called with n == 0");

@@ -12,6 +12,7 @@
 #ifndef LHR_UTIL_RNG_HH
 #define LHR_UTIL_RNG_HH
 
+#include <cstddef>
 #include <cstdint>
 
 namespace lhr
@@ -96,6 +97,15 @@ class Rng
         } while (v >= limit);
         return v % n;
     }
+
+    /**
+     * Fill out[0, count) with what `count` successive below(n) calls
+     * return, drawn from the same stream: same rejection limit, same
+     * remainder. The limit and a reciprocal of n are computed once
+     * per call, so a draw costs multiplications instead of a 64-bit
+     * divide. n must be > 0.
+     */
+    void fillBelow(uint64_t n, uint64_t *out, size_t count);
 
     /**
      * Derive an independent child generator. Streams of a parent and

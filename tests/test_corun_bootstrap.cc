@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+
 #include "harness/corun.hh"
 #include "stats/bootstrap.hh"
 
@@ -27,6 +31,40 @@ i7TwoPlus()
     return withSmt(
         withTurbo(stockConfig(processorById("i7 (45)")), false),
         false);
+}
+
+/** Percentile of a sorted copy, as bootstrapCi95 once computed it. */
+double
+sortedPercentile(std::vector<double> xs, double pct)
+{
+    std::sort(xs.begin(), xs.end());
+    const double rank = pct / 100.0 * (xs.size() - 1);
+    const size_t lo = static_cast<size_t>(std::floor(rank));
+    const size_t hi = std::min(lo + 1, xs.size() - 1);
+    const double frac = rank - lo;
+    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+/**
+ * The per-draw bootstrap: one rng.below() per draw, each resample
+ * summed as it is drawn, two sorted percentiles.
+ */
+BootstrapCi
+referenceBootstrap(const std::vector<double> &samples, Rng &rng,
+                   int resamples)
+{
+    double sum = 0.0;
+    for (double x : samples)
+        sum += x;
+    std::vector<double> means;
+    for (int r = 0; r < resamples; ++r) {
+        double resum = 0.0;
+        for (size_t i = 0; i < samples.size(); ++i)
+            resum += samples[rng.below(samples.size())];
+        means.push_back(resum / samples.size());
+    }
+    return {sum / samples.size(), sortedPercentile(means, 2.5),
+            sortedPercentile(means, 97.5)};
 }
 
 } // namespace
@@ -156,6 +194,38 @@ TEST(Bootstrap, Validation)
     Rng rng(35);
     EXPECT_DEATH(bootstrapCi95({1.0}, rng), "two samples");
     EXPECT_DEATH(bootstrapCi95({1.0, 2.0}, rng, 10), "resamples");
+}
+
+TEST(Bootstrap, MatchesPerDrawReference)
+{
+    // Grouped draws and interleaved sums must reproduce the per-draw
+    // algorithm bit for bit and leave the stream where it would. 999
+    // resamples leave a group tail narrower than the interleave, and
+    // n = 2500 makes every group the minimum four resamples.
+    auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+    std::vector<std::pair<size_t, int>> cases;
+    for (size_t n : {2, 3, 5, 10, 20, 33, 64})
+        for (int resamples : {100, 400, 999, 1000})
+            cases.emplace_back(n, resamples);
+    cases.emplace_back(2500, 101);
+    for (const auto &[n, resamples] : cases) {
+        Rng data(n * 7919 + resamples);
+        std::vector<double> samples(n);
+        for (double &x : samples)
+            x = data.gaussian(100.0, 1.5);
+        Rng reference(n + resamples), batched(n + resamples);
+        const BootstrapCi expect =
+            referenceBootstrap(samples, reference, resamples);
+        const BootstrapCi got = bootstrapCi95(samples, batched, resamples);
+        EXPECT_EQ(bits(got.mean), bits(expect.mean))
+            << "n " << n << " resamples " << resamples;
+        EXPECT_EQ(bits(got.lo), bits(expect.lo))
+            << "n " << n << " resamples " << resamples;
+        EXPECT_EQ(bits(got.hi), bits(expect.hi))
+            << "n " << n << " resamples " << resamples;
+        EXPECT_EQ(batched.next(), reference.next())
+            << "n " << n << " resamples " << resamples;
+    }
 }
 
 TEST(Bootstrap, CoverageReasonableAtModerateN)

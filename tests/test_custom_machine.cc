@@ -148,6 +148,51 @@ tdp_w = 10
 dram = DDR-400
 )"),
                  "bad number");
+
+    // A valid turbo part with one key overridden: a later line for a
+    // key replaces an earlier one.
+    auto with = [](const std::string &key, const std::string &value) {
+        return std::string("id = x\nfamily = Core\nnode_nm = 65\n"
+                           "cores = 1\nsmt = 1\nllc_mb = 1\n"
+                           "clock_ghz = 1\ntransistors_m = 10\n"
+                           "die_mm2 = 10\ntdp_w = 10\ndram = DDR-400\n"
+                           "turbo = 1\n") +
+            key + " = " + value + "\n";
+    };
+    ASSERT_EQ(CustomProcessor::parseString(with("cores", "2"))->spec().cores,
+              2);
+    ASSERT_EQ(CustomProcessor::parseString(with("turbo_steps_1c", "3"))
+                  ->spec()
+                  .turboSteps1C,
+              3);
+
+    // NaN fails every range check and inf passes the positivity ones.
+    EXPECT_DEATH(CustomProcessor::parseString(with("tdp_w", "nan")),
+                 "non-finite");
+    EXPECT_DEATH(CustomProcessor::parseString(with("tdp_w", "inf")),
+                 "non-finite");
+    EXPECT_DEATH(CustomProcessor::parseString(with("clock_ghz", "-inf")),
+                 "non-finite");
+    EXPECT_DEATH(CustomProcessor::parseString(with("fmin_ghz", "nan")),
+                 "non-finite");
+
+    // Integer keys take only integral values that fit an int.
+    EXPECT_DEATH(CustomProcessor::parseString(with("cores", "2.7")),
+                 "cores is not an int");
+    EXPECT_DEATH(CustomProcessor::parseString(with("cores", "1e300")),
+                 "cores is not an int");
+    EXPECT_DEATH(CustomProcessor::parseString(with("cores", "nan")),
+                 "non-finite");
+    EXPECT_DEATH(CustomProcessor::parseString(with("smt", "1.5")),
+                 "smt is not an int");
+    EXPECT_DEATH(CustomProcessor::parseString(with("node_nm", "4294967361")),
+                 "node_nm is not an int");
+    EXPECT_DEATH(
+        CustomProcessor::parseString(with("turbo_steps_1c", "2.5")),
+        "turbo_steps_1c is not an int");
+    EXPECT_DEATH(
+        CustomProcessor::parseString(with("turbo_steps_allc", "-1e20")),
+        "turbo_steps_allc is not an int");
 }
 
 } // namespace lhr

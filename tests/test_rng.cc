@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/rng.hh"
 
@@ -104,6 +105,42 @@ TEST(Rng, BelowZeroPanics)
 {
     Rng rng(14);
     EXPECT_DEATH(rng.below(0), "below");
+    std::vector<uint64_t> out(1);
+    EXPECT_DEATH(rng.fillBelow(0, out.data(), out.size()), "below");
+}
+
+TEST(Rng, FillBelowMatchesRepeatedBelow)
+{
+    // fillBelow must return what one below(n) per draw returns and
+    // leave the stream in the same place: the bootstrap's outputs
+    // depend on both.
+    const uint64_t half = 1ull << 63;
+    const std::vector<uint64_t> divisors = {
+        1, 2, 3, 8, 10, (1ull << 32) + 1, half + 1, UINT64_MAX};
+    for (const uint64_t n : divisors) {
+        constexpr size_t count = 3000;
+        Rng reference(0xF111 + n), batched(0xF111 + n);
+        std::vector<uint64_t> expected(count);
+        for (uint64_t &v : expected)
+            v = reference.below(n);
+        std::vector<uint64_t> got(count);
+        batched.fillBelow(n, got.data(), count);
+        ASSERT_EQ(got, expected) << "n = " << n;
+        EXPECT_EQ(batched.next(), reference.next()) << "n = " << n;
+    }
+
+    // Above 2^63 about half of all raw draws are rejected, so the
+    // comparison above ran the rejection path; count them to be sure.
+    Rng raw(0xF111 + half + 1);
+    const uint64_t limit = UINT64_MAX - UINT64_MAX % (half + 1);
+    int rejected = 0;
+    for (int accepted = 0; accepted < 3000;) {
+        if (raw.next() >= limit)
+            ++rejected;
+        else
+            ++accepted;
+    }
+    EXPECT_GT(rejected, 1000);
 }
 
 TEST(Rng, ForkProducesIndependentStream)

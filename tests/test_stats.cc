@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <vector>
 
 #include "stats/linfit.hh"
 #include "stats/summary.hh"
@@ -84,6 +87,47 @@ TEST(Summary, MeanOfAndGeomean)
     EXPECT_NEAR(geomeanOf({2.0, 2.0, 2.0}), 2.0, 1e-12);
     EXPECT_DEATH(meanOf({}), "empty");
     EXPECT_DEATH(geomeanOf({1.0, -1.0}), "positive");
+}
+
+namespace
+{
+
+/** percentileOf as a full sort computes it. */
+double
+sortedPercentile(std::vector<double> xs, double pct)
+{
+    std::sort(xs.begin(), xs.end());
+    const double rank = pct / 100.0 * (xs.size() - 1);
+    const size_t lo = static_cast<size_t>(std::floor(rank));
+    const size_t hi = std::min(lo + 1, xs.size() - 1);
+    const double frac = rank - lo;
+    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+} // namespace
+
+TEST(Summary, PercentileMatchesSortedReference)
+{
+    // Selection must pick the same two order statistics a sort
+    // does, ties included, so the interpolated value is bit-equal.
+    Rng rng(0x9E7C);
+    for (size_t size = 1; size <= 50; ++size) {
+        for (int rep = 0; rep < 20; ++rep) {
+            // Few distinct values, so most vectors hold duplicates.
+            std::vector<double> xs(size);
+            for (double &x : xs)
+                x = static_cast<double>(rng.below(8)) - 3.5 +
+                    (rep % 2 ? rng.uniform() : 0.0);
+            std::vector<double> pcts = {0.0, 2.5, 50.0, 97.5, 100.0};
+            for (int k = 0; k < 5; ++k)
+                pcts.push_back(rng.uniform(0.0, 100.0));
+            for (const double pct : pcts) {
+                ASSERT_EQ(std::bit_cast<uint64_t>(percentileOf(xs, pct)),
+                          std::bit_cast<uint64_t>(sortedPercentile(xs, pct)))
+                    << "size " << size << " pct " << pct;
+            }
+        }
+    }
 }
 
 TEST(LinearFit, RecoversExactLine)
