@@ -701,7 +701,6 @@ cmdServe(const std::vector<std::string> &args)
               << stats.answeredInline << " inline), "
               << stats.overloaded << " overloaded, "
               << stats.deadlineShed << " shed, "
-              << stats.coalesced << " coalesced, "
               << stats.refusedDraining << " refused while draining\n";
     return 0;
 }

@@ -277,12 +277,4 @@ emitGroupedEffects(Sink &sink, const std::string &title,
     sink.prose("\n");
 }
 
-void
-printGroupedEffects(std::ostream &os, const std::string &title,
-                    const std::vector<GroupedEffect> &effects)
-{
-    TextSink sink(os);
-    emitGroupedEffects(sink, title, effects);
-}
-
 } // namespace lhr

@@ -187,13 +187,6 @@ class JsonSink : public Sink
 void emitGroupedEffects(Sink &sink, const std::string &title,
                         const std::vector<GroupedEffect> &effects);
 
-/**
- * Print a feature study to a stream in the console layout
- * (TextSink over emitGroupedEffects).
- */
-void printGroupedEffects(std::ostream &os, const std::string &title,
-                         const std::vector<GroupedEffect> &effects);
-
 } // namespace lhr
 
 #endif // LHR_ANALYSIS_REPORT_HH

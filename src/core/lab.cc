@@ -48,23 +48,6 @@ Lab::sweep(std::vector<MachineConfig> configs,
     return engine.run(std::move(configs), std::move(benchmarks));
 }
 
-SweepReport
-Lab::sweepFullGrid(SweepOptions options)
-{
-    SweepEngine engine(experimentRunner, options);
-    return engine.runFullGrid();
-}
-
-SweepReport
-Lab::resumeSweep(const ResultStore &prior,
-                 std::vector<MachineConfig> configs,
-                 std::vector<Benchmark> benchmarks,
-                 SweepOptions options)
-{
-    options.warmStart = &prior;
-    return sweep(std::move(configs), std::move(benchmarks), options);
-}
-
 void
 Lab::prewarm(const std::vector<MachineConfig> &configs,
              SweepOptions options)

@@ -72,21 +72,6 @@ class Lab
                       std::vector<Benchmark> benchmarks,
                       SweepOptions options = {});
 
-    /** Parallel sweep of the full 45 x 61 experimental grid. */
-    SweepReport sweepFullGrid(SweepOptions options = {});
-
-    /**
-     * Sweep a grid, warm-starting from a prior store (an earlier
-     * checkpoint or completed shard): cells already in `prior` are
-     * pre-seeded into the runner's memo cache and come back as
-     * cache hits instead of re-measuring. `prior` must outlive the
-     * call; equivalent to setting SweepOptions::warmStart.
-     */
-    SweepReport resumeSweep(const ResultStore &prior,
-                            std::vector<MachineConfig> configs,
-                            std::vector<Benchmark> benchmarks,
-                            SweepOptions options = {});
-
     /**
      * Warm the measurement cache for a configuration set across all
      * benchmarks (plus the four reference machines, which nearly

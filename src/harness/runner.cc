@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <utility>
 
@@ -100,35 +99,10 @@ ExperimentRunner::ExperimentRunner(uint64_t seed)
 {
 }
 
-/**
- * Exact identity of one experiment. The display label rounds the
- * clock to one decimal, so it MUST NOT key caches or random
- * streams: configurations 0.04GHz apart would silently share
- * measurements.
- *
- * The numeric mid-section is sized by a first snprintf pass, so the
- * key can never be silently truncated (truncation would alias cache
- * keys and RNG streams between distinct configurations).
- */
 std::string
 ExperimentRunner::keyOf(const MachineConfig &cfg, const Benchmark &bench)
 {
-    static const char *const fmt = "|%d|%d|%.6f|%d|";
-    const int turbo = cfg.turboEnabled ? 1 : 0;
-    const int len = std::snprintf(nullptr, 0, fmt, cfg.enabledCores,
-                                  cfg.smtPerCore, cfg.clockGhz, turbo);
-    if (len <= 0)
-        panic("ExperimentRunner::keyOf: cannot format configuration "
-              "fields");
-    std::string mid(static_cast<size_t>(len), '\0');
-    const int written =
-        std::snprintf(mid.data(), mid.size() + 1, fmt, cfg.enabledCores,
-                      cfg.smtPerCore, cfg.clockGhz, turbo);
-    if (written != len)
-        panic(msgOf("ExperimentRunner::keyOf: truncated key for '",
-                    cfg.spec->id, "' (needed ", len, ", wrote ",
-                    written, ")"));
-    return cfg.spec->id + mid + bench.name;
+    return configKey(cfg, bench.name);
 }
 
 void

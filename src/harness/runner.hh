@@ -216,10 +216,11 @@ class ExperimentRunner
 
     /**
      * The exact cache/stream identity of one experiment — the string
-     * the memo shards and random streams key on. Exposed for layers
-     * that must agree with the cache about identity (the serve
-     * module's request-coalescing registry); the display label is
-     * NOT a substitute (it rounds the clock).
+     * the memo shards and random streams key on:
+     * configKey(cfg) + bench.name, built in one allocation (e.g.
+     * "i7 (45)|4|2|2.667000|1|mcf"). These bytes seed every random
+     * stream, so changing the format changes every output. The
+     * display label is NOT a substitute (it rounds the clock).
      */
     [[nodiscard]] static std::string keyOf(const MachineConfig &cfg,
                                            const Benchmark &bench);

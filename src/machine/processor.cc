@@ -346,26 +346,49 @@ makeHierarchy(const ProcessorSpec &spec)
     panic("makeHierarchy: unknown family");
 }
 
-std::string
-MachineConfig::label() const
+namespace
 {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s %dC%dT@%.1fGHz",
-                  spec->id.c_str(), enabledCores, smtPerCore, clockGhz);
-    std::string out = buf;
-    if (spec->hasTurbo && !turboEnabled)
-        out += " NoTB";
+
+/**
+ * head + printf(fields, args...) + tail in one allocation. The
+ * formatted middle is sized by a first snprintf pass, so no length
+ * of processor id or clock value can truncate it.
+ */
+template <typename... Args>
+std::string
+formatBetween(std::string_view head, std::string_view tail,
+              const char *fields, Args... args)
+{
+    const int len = std::snprintf(nullptr, 0, fields, args...);
+    if (len < 0)
+        panic("formatBetween: cannot format configuration fields");
+    const size_t mid = static_cast<size_t>(len);
+    std::string out(head.size() + mid + tail.size(), '\0');
+    head.copy(out.data(), head.size());
+    // Writes mid characters plus a '\0' that tail (or the string's
+    // own terminator) then covers.
+    std::snprintf(out.data() + head.size(), mid + 1, fields, args...);
+    tail.copy(out.data() + head.size() + mid, tail.size());
     return out;
 }
 
+} // namespace
+
 std::string
-configKey(const MachineConfig &cfg)
+MachineConfig::label() const
 {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "%s|%d|%d|%.17g|%d",
-                  cfg.spec->id.c_str(), cfg.enabledCores, cfg.smtPerCore,
-                  cfg.clockGhz, cfg.turboEnabled ? 1 : 0);
-    return buf;
+    return formatBetween(spec->id,
+                         spec->hasTurbo && !turboEnabled ? " NoTB" : "",
+                         " %dC%dT@%.1fGHz", enabledCores, smtPerCore,
+                         clockGhz);
+}
+
+std::string
+configKey(const MachineConfig &cfg, std::string_view suffix)
+{
+    return formatBetween(cfg.spec->id, suffix, "|%d|%d|%.6f|%d|",
+                         cfg.enabledCores, cfg.smtPerCore, cfg.clockGhz,
+                         cfg.turboEnabled ? 1 : 0);
 }
 
 double

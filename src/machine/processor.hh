@@ -17,6 +17,7 @@
 #define LHR_MACHINE_PROCESSOR_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -167,11 +168,16 @@ struct MachineConfig
 };
 
 /**
- * Full-precision identity of a configuration, for deduplicating
- * grids: two configs share a key only if every field is bit-equal.
- * label() is NOT a substitute (it rounds the clock to 0.1GHz).
+ * Exact identity of a configuration: "id|cores|smt|clock|turbo|",
+ * the clock printed with %.6f. It is the configuration prefix of
+ * ExperimentRunner::keyOf, so configurations share a key exactly
+ * when they share memo entries and random streams; grids
+ * deduplicate on it. `suffix` is appended in the same allocation
+ * (keyOf passes the benchmark name). label() is NOT a substitute
+ * (it rounds the clock to 0.1GHz).
  */
-std::string configKey(const MachineConfig &cfg);
+std::string configKey(const MachineConfig &cfg,
+                      std::string_view suffix = {});
 
 /** The stock (as-sold) configuration of a processor. */
 MachineConfig stockConfig(const ProcessorSpec &spec);

@@ -37,8 +37,13 @@ sampleSessionWatts(const PowerChannel &channel,
     const size_t need = 2 * static_cast<size_t>(samples);
     double *G1 = arena.alloc<double>(samples);
     double *G2 = arena.alloc<double>(samples);
+    // Select the row pointer first, then index it. GCC 12 with
+    // -fsanitize=shift (or signed-integer-overflow, or either
+    // divide-by-zero check) miscompiles `(i & 1 ? G2 : G1)[i >> 1]`
+    // so that every even slot lands in G1[0].
     const auto slot = [&](size_t i) -> double & {
-        return (i & 1 ? G2 : G1)[i >> 1];
+        double *const row = (i & 1) ? G2 : G1;
+        return row[i >> 1];
     };
     size_t drained = 0;
     while (inv_rng.hasPendingGaussian() && drained < need) {

@@ -1,7 +1,6 @@
 #include "serve/server.hh"
 
 #include <chrono>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -63,7 +62,6 @@ struct Counters
     std::atomic<uint64_t> served{0};
     std::atomic<uint64_t> overloaded{0};
     std::atomic<uint64_t> deadlineShed{0};
-    std::atomic<uint64_t> coalesced{0};
     std::atomic<uint64_t> parseErrors{0};
     std::atomic<uint64_t> invalidArguments{0};
     std::atomic<uint64_t> refusedDraining{0};
@@ -98,15 +96,6 @@ struct LabServer::Impl
     std::mutex connMutex; ///< guards conns (list of live connections)
     std::vector<std::shared_ptr<ClientConn>> conns;
 
-    std::mutex inFlightMutex; ///< guards inFlight
-    /**
-     * Experiment keys currently being computed by a worker, with a
-     * joiner count. A worker arriving at a key that is already here
-     * will block inside the runner's call_once and receive the shared
-     * result — that is a coalesced request, counted as such.
-     */
-    std::map<std::string, int> inFlight;
-
     void serveMeasure(const ServeRequest &req,
                       const std::shared_ptr<ClientConn> &conn);
     void serveStats(const ServeRequest &req, ClientConn &conn);
@@ -128,7 +117,6 @@ LabServer::Impl::snapshot() const
     s.served = counters.served.load();
     s.overloaded = counters.overloaded.load();
     s.deadlineShed = counters.deadlineShed.load();
-    s.coalesced = counters.coalesced.load();
     s.parseErrors = counters.parseErrors.load();
     s.invalidArguments = counters.invalidArguments.load();
     s.refusedDraining = counters.refusedDraining.load();
@@ -152,7 +140,6 @@ LabServer::Impl::serveStats(const ServeRequest &req, ClientConn &conn)
     json.key("served").value(s.served);
     json.key("overloaded").value(s.overloaded);
     json.key("deadline_shed").value(s.deadlineShed);
-    json.key("coalesced").value(s.coalesced);
     json.key("parse_errors").value(s.parseErrors);
     json.key("invalid_arguments").value(s.invalidArguments);
     json.key("refused_draining").value(s.refusedDraining);
@@ -351,16 +338,6 @@ LabServer::Impl::workerLoop()
             }
         }
 
-        const std::string key = ExperimentRunner::keyOf(
-            job.query.config, *job.query.benchmark);
-        {
-            std::lock_guard<std::mutex> lock(inFlightMutex);
-            auto [it, inserted] = inFlight.try_emplace(key, 0);
-            if (!inserted || it->second > 0)
-                counters.coalesced.fetch_add(1);
-            ++it->second;
-        }
-
         try {
             const Measurement &m =
                 runner.measure(job.query.config, *job.query.benchmark);
@@ -373,13 +350,6 @@ LabServer::Impl::workerLoop()
                            errorReplyJson(job.req.id,
                                           ServeStatus::Internal,
                                           err.what()));
-        }
-
-        {
-            std::lock_guard<std::mutex> lock(inFlightMutex);
-            const auto it = inFlight.find(key);
-            if (it != inFlight.end() && --it->second <= 0)
-                inFlight.erase(it);
         }
     }
 }

@@ -19,8 +19,8 @@
  *    spends compute on an answer nobody is waiting for.
  *
  *  - Coalescing. Concurrent requests for the same experiment key
- *    share one computation through the runner's call_once memo;
- *    the in-flight registry counts how often that saved a run.
+ *    share one computation through the runner's per-key call_once
+ *    memo.
  *
  *  - Control plane. ping/stats/shutdown are answered inline on the
  *    connection thread, so an overloaded daemon remains observable
@@ -71,7 +71,6 @@ struct ServeStatsSnapshot
     uint64_t served = 0;         ///< `ok` measure replies
     uint64_t overloaded = 0;     ///< queue-full sheds
     uint64_t deadlineShed = 0;   ///< admitted but expired before compute
-    uint64_t coalesced = 0;      ///< measures that joined an in-flight run
     uint64_t parseErrors = 0;    ///< malformed frames answered with an error
     uint64_t invalidArguments = 0; ///< well-formed but out-of-contract
     uint64_t refusedDraining = 0;  ///< measures refused during drain

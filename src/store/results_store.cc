@@ -253,9 +253,6 @@ ResultStore::load(std::istream &is)
     return std::move(store).value();
 }
 
-// ResultStore::snapshot is defined in sweep/sweep.cc: it runs on
-// the parallel SweepEngine, which links above this module.
-
 StoreComparison
 compareStores(const ResultStore &before, const ResultStore &after,
               double tolerance)

@@ -118,23 +118,6 @@ class ResultStore
      */
     [[nodiscard]] static ResultStore load(std::istream &is);
 
-    /**
-     * Snapshot a configuration set: measures every benchmark on
-     * every configuration. Runs on the parallel SweepEngine
-     * (bit-identical to a serial loop by the engine's determinism
-     * contract); defined in sweep/sweep.cc, which sits above this
-     * module in the link graph.
-     */
-    static ResultStore snapshot(
-        ExperimentRunner &runner,
-        const std::vector<MachineConfig> &configs);
-
-    /** Snapshot an explicit grid (configs x benchmarks). */
-    static ResultStore snapshot(
-        ExperimentRunner &runner,
-        const std::vector<MachineConfig> &configs,
-        const std::vector<Benchmark> &benchmarks);
-
   private:
     static std::string key(const std::string &config_label,
                            const std::string &benchmark);

@@ -77,12 +77,6 @@ SweepEngine::SweepEngine(ExperimentRunner &runner, SweepOptions options)
 }
 
 SweepReport
-SweepEngine::runFullGrid()
-{
-    return run(standardConfigurations(), allBenchmarks());
-}
-
-SweepReport
 SweepEngine::run(std::vector<MachineConfig> configs,
                  std::vector<Benchmark> benchmarks)
 {
@@ -143,8 +137,6 @@ SweepEngine::run(std::vector<MachineConfig> configs,
     const size_t progressEvery = std::max<size_t>(1, total / 16);
     const Clock::time_point start = Clock::now();
 
-    std::atomic<int> failures{0};
-
     // External stop (snapshot's signal handler sets the flag): cells
     // not yet started are marked Cancelled instead of run, so the
     // sweep returns at the next cell boundary with every completed
@@ -155,9 +147,7 @@ SweepEngine::run(std::vector<MachineConfig> configs,
 
     // Cells write disjoint slots, so the results vector needs no
     // lock. A throwing experiment degrades its own cell to a flagged
-    // row and never takes the sweep down; past maxFailures the pool
-    // is cancelled and the remaining cells come back Cancelled
-    // without running.
+    // row and never takes the sweep down.
     const auto runCell = [&](size_t slot) {
         const size_t idx = mine[slot];
         const size_t ci = idx / nBench;
@@ -172,10 +162,6 @@ SweepEngine::run(std::vector<MachineConfig> configs,
             cell.status =
                 Status::error(StatusCode::Cancelled,
                               "sweep stopped before this cell ran");
-        } else if (pool.cancelled()) {
-            cell.status = Status::error(
-                StatusCode::Cancelled,
-                "sweep cancelled after too many failed cells");
         } else {
             const Clock::time_point cellStart = Clock::now();
             try {
@@ -187,17 +173,6 @@ SweepEngine::run(std::vector<MachineConfig> configs,
                     Status::error(StatusCode::Internal, e.what());
             }
             cell.wallSec = secondsSince(cellStart);
-            if (cell.status.ok() && options.cellTimeoutSec > 0.0 &&
-                cell.wallSec > options.cellTimeoutSec) {
-                cell.status = Status::error(
-                    StatusCode::Timeout,
-                    msgOf("cell took ", cell.wallSec, "s, budget ",
-                          options.cellTimeoutSec, "s"));
-            }
-            if (!cell.status.ok() && options.maxFailures >= 0 &&
-                failures.fetch_add(1, std::memory_order_relaxed) + 1 >
-                    options.maxFailures)
-                pool.cancel();
         }
 
         const size_t finished =
@@ -263,26 +238,6 @@ toStore(const SweepReport &report)
             store.put(*cell.config, *cell.benchmark, *cell.measurement);
     }
     return store;
-}
-
-// Defined here rather than in store/results_store.cc: snapshot runs
-// on the parallel SweepEngine, and the sweep module links above the
-// store module. Bit-identical to the old serial double loop by the
-// engine's determinism contract (tests/test_store.cc asserts it).
-ResultStore
-ResultStore::snapshot(ExperimentRunner &runner,
-                      const std::vector<MachineConfig> &configs)
-{
-    return snapshot(runner, configs, allBenchmarks());
-}
-
-ResultStore
-ResultStore::snapshot(ExperimentRunner &runner,
-                      const std::vector<MachineConfig> &configs,
-                      const std::vector<Benchmark> &benchmarks)
-{
-    SweepEngine engine(runner);
-    return toStore(engine.run(configs, benchmarks));
 }
 
 } // namespace lhr

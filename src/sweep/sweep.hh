@@ -61,22 +61,6 @@ struct SweepOptions
     bool progress = false;
 
     /**
-     * Wall-time budget per cell in seconds; a cell that exceeds it
-     * is flagged StatusCode::Timeout in its status (the measurement
-     * still completes — the flag marks the row as suspect, it does
-     * not preempt model code). 0 disables the budget.
-     */
-    double cellTimeoutSec = 0.0;
-
-    /**
-     * Failed cells tolerated before the sweep cooperatively cancels
-     * the rest (remaining cells come back StatusCode::Cancelled
-     * without running). Negative = never cancel: every cell runs
-     * and failures degrade to flagged rows.
-     */
-    int maxFailures = -1;
-
-    /**
      * Shard contract (`lhrlab snapshot --shard i/N`): the row-major
      * cell list is partitioned deterministically across shardCount
      * shards and this engine runs only the cells whose global index
@@ -169,7 +153,7 @@ struct SweepReport
 
     [[nodiscard]] size_t experiments() const { return cells.size(); }
 
-    /** Cells that failed (FaultError, timeout flag, cancellation). */
+    /** Cells that failed (FaultError, other error, cancellation). */
     [[nodiscard]] size_t failedCells() const;
 
     /** Cells whose recovery hit a cap (Measurement::degraded). */
@@ -213,12 +197,6 @@ class SweepEngine
      */
     [[nodiscard]] SweepReport run(std::vector<MachineConfig> configs,
                     std::vector<Benchmark> benchmarks);
-
-    /**
-     * The paper's full grid: standardConfigurations() (45) x
-     * allBenchmarks() (61).
-     */
-    [[nodiscard]] SweepReport runFullGrid();
 
   private:
     ExperimentRunner &runner;

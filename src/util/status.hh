@@ -35,8 +35,8 @@ enum class StatusCode
     ParseError,       ///< malformed input text (CSV, numbers, flags)
     IoError,          ///< filesystem or stream failure
     FaultDetected,    ///< the rig fault model fired and won
-    Timeout,          ///< per-experiment deadline exceeded
-    Cancelled,        ///< abandoned after the sweep's failure cap
+    Timeout,          ///< a blocking wait (e.g. accept) ran out
+    Cancelled,        ///< a sweep was stopped before this cell ran
     Conflict,         ///< two stores disagree about the same key
     Internal,         ///< unexpected exception from lower layers
 };

@@ -83,23 +83,6 @@ class ThreadPool
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 
-    /**
-     * Cooperative cancellation: cancel() raises a flag that
-     * submitted work can poll via cancelled() to cut a batch short
-     * (e.g. a sweep abandoning a dead rig after too many failures).
-     * The pool itself keeps running every task; it is the tasks'
-     * job to return early. reset by resetCancel().
-     */
-    void cancel() { cancelFlag.store(true, std::memory_order_relaxed); }
-    [[nodiscard]] bool cancelled() const
-    {
-        return cancelFlag.load(std::memory_order_relaxed);
-    }
-    void resetCancel()
-    {
-        cancelFlag.store(false, std::memory_order_relaxed);
-    }
-
   private:
     struct WorkerQueue
     {
@@ -122,7 +105,6 @@ class ThreadPool
     bool shuttingDown = false; ///< all three guarded by sleepMutex
     std::exception_ptr firstError; ///< guarded by sleepMutex
     std::atomic<size_t> nextQueue{0};
-    std::atomic<bool> cancelFlag{false};
 };
 
 } // namespace lhr

@@ -167,7 +167,8 @@ TEST(Analysis, ReportRendersAllGroups)
 {
     const auto effects = cmpStudy(lab().runner(), lab().reference());
     std::ostringstream os;
-    printGroupedEffects(os, "title", effects);
+    TextSink sink(os);
+    emitGroupedEffects(sink, "title", effects);
     const std::string out = os.str();
     EXPECT_NE(out.find("title"), std::string::npos);
     EXPECT_NE(out.find("performance"), std::string::npos);

@@ -74,6 +74,39 @@ TEST(Runner, NearbyClocksDoNotShareCache)
               runner.measure(b, benchmarkByName("mcf")).timeSec);
 }
 
+TEST(Runner, KeyOfBytesArePinned)
+{
+    // keyOf's bytes seed every experiment's random stream, so any
+    // change to them changes every measured number.
+    const auto &mcf = benchmarkByName("mcf");
+    const auto stock = stockConfig(i7());
+    const auto noTurbo = withTurbo(stock, false);
+    const auto custom =
+        withClock(withTurbo(stockConfig(processorById("i5 (32)")), false),
+                  2.64);
+    EXPECT_EQ(ExperimentRunner::keyOf(stock, mcf),
+              "i7 (45)|4|2|2.667000|1|mcf");
+    EXPECT_EQ(ExperimentRunner::keyOf(noTurbo, mcf),
+              "i7 (45)|4|2|2.667000|0|mcf");
+    EXPECT_EQ(ExperimentRunner::keyOf(custom, mcf),
+              "i5 (32)|2|2|2.640000|0|mcf");
+    for (const auto &cfg : {stock, noTurbo, custom})
+        EXPECT_EQ(ExperimentRunner::keyOf(cfg, mcf),
+                  configKey(cfg) + mcf.name);
+}
+
+TEST(Runner, LongProcessorIdsKeepDistinctConfigKeys)
+{
+    // Custom machine files accept ids of any length; no key format
+    // may truncate one into another configuration's identity.
+    ProcessorSpec spec = i7();
+    spec.id = std::string(200, 'x');
+    const auto stock = stockConfig(spec);
+    const auto slow = withClock(stock, 1.6);
+    EXPECT_NE(configKey(stock), configKey(slow));
+    EXPECT_EQ(configKey(stock), spec.id + "|4|2|2.667000|1|");
+}
+
 TEST(Runner, CachingReturnsSameObject)
 {
     ExperimentRunner runner(3);

@@ -72,6 +72,18 @@ TEST(Machine, ConfigLabels)
     EXPECT_EQ(p4.label(), "Pentium4 (130) 1C2T@2.4GHz");
 }
 
+TEST(Machine, LongIdsKeepTheirLabelSuffix)
+{
+    // A custom machine id may be any length; the cores/clock suffix
+    // must survive it, or two clocks share one ResultStore row.
+    ProcessorSpec spec = processorById("i7 (45)");
+    spec.id = std::string(100, 'x');
+    const auto stock = stockConfig(spec);
+    EXPECT_EQ(stock.label(), spec.id + " 4C2T@2.7GHz");
+    EXPECT_EQ(withTurbo(stock, false).label(), spec.id + " 4C2T@2.7GHz NoTB");
+    EXPECT_NE(withClock(stock, 1.6).label(), stock.label());
+}
+
 TEST(Machine, ConfiguratorValidation)
 {
     const auto i7 = stockConfig(processorById("i7 (45)"));

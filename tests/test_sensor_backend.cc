@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "harness/runner.hh"
@@ -21,6 +24,7 @@
 #include "sensor/sampling.hh"
 #include "sensor/sensor.hh"
 #include "util/hash.hh"
+#include "util/logging.hh"
 
 namespace lhr
 {
@@ -87,6 +91,41 @@ TEST(SensorBackend, HallSessionIsBitIdenticalToTheChannelChain)
     EXPECT_EQ(a, b);
     // ... and leaves the invocation stream at the same position.
     EXPECT_EQ(viaSensor.next(), viaChain.next());
+}
+
+TEST(SensorBackend, BatchedSessionMatchesScalarChain)
+{
+    // The vectorized Hall sampler against the base-class loop of
+    // beginSession() + read(): the same sum to the bit, and the
+    // invocation stream left at the same position.
+    for (const SensorVariant variant :
+         {SensorVariant::A5, SensorVariant::A30}) {
+        const HallEffectSensor sensor(variant, 0x714, 0xCAFE);
+        for (const int samples : {8, 37, 1000, 1501}) {
+            for (const bool pending : {false, true}) {
+                Rng batched(0xD00D), scalar(0xD00D);
+                if (pending) {
+                    // Leave the second half of a Box-Muller pair cached.
+                    (void)batched.gaussian();
+                    (void)scalar.gaussian();
+                }
+                ASSERT_EQ(batched.hasPendingGaussian(), pending);
+                const double a = sensor.sessionWatts(
+                    kPhases.data(), static_cast<int>(kPhases.size()),
+                    1.02, samples, batched);
+                const double b = sensor.PowerSensor::sessionWatts(
+                    kPhases.data(), static_cast<int>(kPhases.size()),
+                    1.02, samples, scalar);
+                const std::string where =
+                    msgOf(variant == SensorVariant::A5 ? "A5" : "A30", " samples ",
+                          samples, pending ? " pending" : "");
+                EXPECT_EQ(std::bit_cast<uint64_t>(a),
+                          std::bit_cast<uint64_t>(b))
+                    << where << ": " << a << " vs " << b;
+                EXPECT_EQ(batched.next(), scalar.next()) << where;
+            }
+        }
+    }
 }
 
 TEST(SensorBackend, HallBeginSessionDrawsNothing)

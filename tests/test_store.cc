@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "store/results_store.hh"
+#include "sweep/sweep.hh"
 #include "util/status.hh"
 
 namespace lhr
@@ -307,7 +308,8 @@ TEST(Store, SnapshotMatchesRunner)
     const std::vector<MachineConfig> configs = {
         stockConfig(processorById("Atom (45)")),
     };
-    const ResultStore store = ResultStore::snapshot(runner, configs);
+    const ResultStore store =
+        toStore(SweepEngine(runner).run(configs, allBenchmarks()));
     EXPECT_EQ(store.size(), allBenchmarks().size());
     const auto &bench = benchmarkByName("jess");
     const StoredResult *found =
@@ -323,22 +325,23 @@ TEST(Store, SnapshotsAreReproducible)
         stockConfig(processorById("Atom (45)")),
     };
     ExperimentRunner a(0xF00D), b(0xF00D);
-    const auto storeA = ResultStore::snapshot(a, configs);
-    const auto storeB = ResultStore::snapshot(b, configs);
+    const auto storeA = toStore(SweepEngine(a).run(configs, allBenchmarks()));
+    const auto storeB = toStore(SweepEngine(b).run(configs, allBenchmarks()));
     EXPECT_TRUE(compareStores(storeA, storeB, 1e-12).clean());
 }
 
 TEST(Store, SnapshotBitIdenticalToSerialLoop)
 {
-    // snapshot() now runs on the parallel SweepEngine; the engine's
-    // determinism contract says the rebuild must be bit-identical
-    // to the serial double loop it replaced.
+    // A store built from a parallel SweepEngine run must be
+    // bit-identical to the serial double loop, by the engine's
+    // determinism contract.
     const std::vector<MachineConfig> configs = {
         stockConfig(processorById("Atom (45)")),
         stockConfig(processorById("i7 (45)")),
     };
     ExperimentRunner parallel(0xFACE);
-    const ResultStore store = ResultStore::snapshot(parallel, configs);
+    const ResultStore store =
+        toStore(SweepEngine(parallel).run(configs, allBenchmarks()));
 
     ExperimentRunner serial(0xFACE);
     ResultStore byHand;
@@ -351,8 +354,7 @@ TEST(Store, SnapshotBitIdenticalToSerialLoop)
 
 TEST(Store, SnapshotTakesAnExplicitGrid)
 {
-    // The old snapshot hard-coded allBenchmarks(); the overload
-    // accepts any benchmark subset.
+    // A snapshot of any benchmark subset holds exactly that subset.
     const std::vector<MachineConfig> configs = {
         stockConfig(processorById("Atom (45)")),
     };
@@ -360,7 +362,7 @@ TEST(Store, SnapshotTakesAnExplicitGrid)
         benchmarkByName("mcf"), benchmarkByName("xalan")};
     ExperimentRunner runner(0xFACE);
     const ResultStore store =
-        ResultStore::snapshot(runner, configs, benchmarks);
+        toStore(SweepEngine(runner).run(configs, benchmarks));
     EXPECT_EQ(store.size(), 2u);
     EXPECT_NE(store.find(configs[0].label(), "mcf"), nullptr);
     EXPECT_NE(store.find(configs[0].label(), "xalan"), nullptr);
