@@ -5,7 +5,7 @@
  * artifacts and fail on a real regression.
  *
  * Usage:
- *   bench_compare [--tolerance R] [--summary FILE] [--html FILE]
+ *   bench_compare [--tolerance R] [--summary FILE]
  *                 BEFORE.json AFTER.json [BEFORE2 AFTER2 ...]
  *
  *   --tolerance R   relative drop a throughput metric may take
@@ -14,8 +14,6 @@
  *   --summary FILE  append the markdown A/B table to FILE as well
  *                   (point it at $GITHUB_STEP_SUMMARY in CI) — the
  *                   table is written whether or not the gate fails
- *   --html FILE     write a self-contained single-file HTML report
- *                   of the same comparison (inline CSS, delta bars)
  *
  * Exit status: 0 pass, 1 regression, 2 usage or unreadable input.
  * A missing BEFORE file is a pass with a note (first run on a
@@ -54,7 +52,7 @@ int
 usage()
 {
     std::cerr << "usage: bench_compare [--tolerance R] "
-                 "[--summary FILE] [--html FILE] "
+                 "[--summary FILE] "
                  "BEFORE.json AFTER.json [BEFORE2 AFTER2 ...]\n";
     return 2;
 }
@@ -66,7 +64,6 @@ main(int argc, char **argv)
 {
     double tolerance = 0.15;
     std::string summaryPath;
-    std::string htmlPath;
     std::vector<std::string> files;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
@@ -77,9 +74,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--summary") == 0 &&
                    i + 1 < argc) {
             summaryPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--html") == 0 &&
-                   i + 1 < argc) {
-            htmlPath = argv[++i];
         } else if (argv[i][0] == '-') {
             return usage();
         } else {
@@ -90,7 +84,6 @@ main(int argc, char **argv)
         return usage();
 
     std::string report;
-    std::vector<std::pair<std::string, lhr::PerfComparison>> sections;
     bool failed = false;
     size_t compared = 0;
     for (size_t pair = 0; pair < files.size(); pair += 2) {
@@ -128,7 +121,6 @@ main(int argc, char **argv)
         const lhr::PerfComparison cmp = lhr::comparePerfRecords(
             before.value(), after.value(), tolerance);
         report += lhr::perfTableMarkdown(cmp, title);
-        sections.emplace_back(title, cmp);
         ++compared;
         // Record kinds present on only one side are reported, never
         // gated: a record's first introduction (a new bench suite
@@ -162,16 +154,6 @@ main(int argc, char **argv)
             return 2;
         }
         summary << report;
-    }
-    if (!htmlPath.empty()) {
-        std::ofstream html(htmlPath, std::ios::binary);
-        if (!html) {
-            std::cerr << "bench_compare: cannot write " << htmlPath
-                      << "\n";
-            return 2;
-        }
-        html << lhr::perfReportHtml(sections,
-                                    "Perf baseline comparison");
     }
 
     if (failed) {

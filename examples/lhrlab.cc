@@ -618,14 +618,14 @@ cmdCompare(const std::vector<std::string> &args)
     }
     if (!cmp.regressions.empty()) {
         lhr::TableWriter table;
-        table.addColumn("Configuration", lhr::TableWriter::Align::Left);
+        table.addColumn("Config key", lhr::TableWriter::Align::Left);
         table.addColumn("Benchmark", lhr::TableWriter::Align::Left);
         table.addColumn("Time x");
         table.addColumn("Power x");
         table.addColumn("Energy x");
         for (const auto &delta : cmp.regressions) {
             table.beginRow();
-            table.cell(delta.configLabel);
+            table.cell(delta.config);
             table.cell(delta.benchmark);
             table.cell(delta.timeRatio, 3);
             table.cell(delta.powerRatio, 3);

@@ -212,112 +212,4 @@ perfTableMarkdown(const PerfComparison &cmp, const std::string &title)
     return out;
 }
 
-namespace
-{
-
-std::string
-escapeHtml(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '&': out += "&amp;"; break;
-          case '<': out += "&lt;"; break;
-          case '>': out += "&gt;"; break;
-          case '"': out += "&quot;"; break;
-          default:  out += c;
-        }
-    }
-    return out;
-}
-
-/**
- * A signed delta bar: width proportional to |delta| (clamped to
- * ±30%), green for improvements of gating metrics, red for drops,
- * grey for informational metrics.
- */
-std::string
-deltaBarHtml(const PerfDelta &delta)
-{
-    const double rel = delta.deltaRel();
-    const double clamped = std::clamp(rel, -0.30, 0.30);
-    const int widthPx =
-        static_cast<int>(std::fabs(clamped) / 0.30 * 60.0);
-    const char *color = "#999";
-    if (delta.direction == MetricDirection::HigherIsBetter)
-        color = rel < 0.0 ? "#c0392b" : "#27ae60";
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "<span class=\"bar\" style=\"width:%dpx;"
-                  "background:%s\"></span>",
-                  widthPx, color);
-    return buf;
-}
-
-} // namespace
-
-std::string
-perfReportHtml(
-    const std::vector<std::pair<std::string, PerfComparison>> &sections,
-    const std::string &title)
-{
-    std::string out =
-        "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-        "<meta charset=\"utf-8\">\n<title>" +
-        escapeHtml(title) +
-        "</title>\n<style>\n"
-        "body{font:14px/1.5 -apple-system,system-ui,sans-serif;"
-        "margin:2em auto;max-width:60em;color:#222}\n"
-        "table{border-collapse:collapse;width:100%;margin:1em 0}\n"
-        "th,td{border:1px solid #ddd;padding:4px 8px;"
-        "text-align:right;font-variant-numeric:tabular-nums}\n"
-        "th:first-child,td:first-child,th:nth-child(2),"
-        "td:nth-child(2){text-align:left}\n"
-        "th{background:#f4f4f4}\n"
-        ".bar{display:inline-block;height:10px;"
-        "vertical-align:middle}\n"
-        ".fail{color:#c0392b;font-weight:bold}\n"
-        ".ok{color:#27ae60}\n"
-        ".note{color:#777;font-style:italic}\n"
-        "</style>\n</head>\n<body>\n<h1>" +
-        escapeHtml(title) + "</h1>\n";
-
-    for (const auto &[heading, cmp] : sections) {
-        out += "<h2>" + escapeHtml(heading) + "</h2>\n";
-        out += "<table>\n<tr><th>record</th><th>metric</th>"
-               "<th>before</th><th>after</th><th>delta</th>"
-               "<th></th><th>gate</th></tr>\n";
-        for (const PerfDelta &delta : cmp.deltas) {
-            std::string gate = "";
-            if (delta.direction == MetricDirection::HigherIsBetter) {
-                const std::string tol =
-                    escapeHtml(formatPercent(-delta.tolerance));
-                gate = delta.regression()
-                    ? "<span class=\"fail\">FAIL</span> (tol " + tol +
-                        ")"
-                    : "<span class=\"ok\">ok</span> (tol " + tol + ")";
-            }
-            out += "<tr><td>" + escapeHtml(delta.record) + "</td><td>" +
-                escapeHtml(delta.metric) + "</td><td>" +
-                escapeHtml(formatNumber(delta.before)) + "</td><td>" +
-                escapeHtml(formatNumber(delta.after)) + "</td><td>" +
-                escapeHtml(formatPercent(delta.deltaRel())) +
-                "</td><td>" + deltaBarHtml(delta) + "</td><td>" + gate +
-                "</td></tr>\n";
-        }
-        for (const std::string &name : cmp.onlyBefore)
-            out += "<tr><td>" + escapeHtml(name) +
-                "</td><td colspan=\"6\" class=\"note\">record "
-                "removed (not gated)</td></tr>\n";
-        for (const std::string &name : cmp.onlyAfter)
-            out += "<tr><td>" + escapeHtml(name) +
-                "</td><td colspan=\"6\" class=\"note\">new record "
-                "(not gated)</td></tr>\n";
-        out += "</table>\n";
-    }
-    out += "</body>\n</html>\n";
-    return out;
-}
-
 } // namespace lhr

@@ -117,17 +117,6 @@ struct PerfComparison
 std::string perfTableMarkdown(const PerfComparison &cmp,
                               const std::string &title);
 
-/**
- * Self-contained single-file HTML A/B report of one or more
- * comparisons (the csbench idiom: inline CSS, no external assets, a
- * delta bar per metric), from the same data as perfTableMarkdown().
- * `sections` pairs each comparison with its heading (usually the
- * "BEFORE vs AFTER" file names).
- */
-std::string perfReportHtml(
-    const std::vector<std::pair<std::string, PerfComparison>> &sections,
-    const std::string &title);
-
 } // namespace lhr
 
 #endif // LHR_ANALYSIS_PERF_COMPARE_HH

@@ -86,8 +86,9 @@ struct FaultPlan
     std::array<double, faultClassCount> rates{};
 
     /**
-     * label() of a configuration whose every experiment throws
-     * FaultError (a dead rig). Empty = none.
+     * configKey() of a configuration whose every experiment throws
+     * FaultError (a dead rig). Exact: a configuration tens of MHz
+     * away still measures. Empty = none.
      */
     std::string poisonedConfig;
 

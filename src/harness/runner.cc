@@ -19,6 +19,30 @@ namespace lhr
 namespace
 {
 
+// The hardened pipeline's gates and caps (see MeasurementPolicy).
+
+/** Re-run until both relative 95% CIs are inside this gate. */
+constexpr double ciGateRel = 0.05;
+
+/**
+ * A session whose first- and second-half power means differ by more
+ * than this fraction is rejected (calibration drift, throttle or
+ * co-runner windows show up as exactly this skew).
+ */
+constexpr double balanceGateRel = 0.04;
+
+/** Minimum surviving-sample fraction for a session to count. */
+constexpr double minSampleFraction = 0.6;
+
+/** Re-runs allowed per invalid invocation. */
+constexpr int maxRetries = 3;
+
+/** Extra invocations allowed by the CI gate. */
+constexpr int maxExtraInvocations = 12;
+
+/** Median/MAD rejection threshold across invocations. */
+constexpr double outlierMadK = 6.0;
+
 /** Switching-activity vector from a PerfResult's utilizations. */
 std::vector<double>
 activityOf(const PerfResult &run, const Benchmark &bench)
@@ -450,7 +474,7 @@ ExperimentRunner::runMeasurement(const MachineConfig &cfg,
                                  const Benchmark &bench)
 {
     if (!faults.poisonedConfig.empty() &&
-        cfg.label() == faults.poisonedConfig) {
+        configKey(cfg) == faults.poisonedConfig) {
         throw FaultError(Status::error(
             StatusCode::FaultDetected,
             "rig offline for poisoned configuration '" + cfg.label() +
@@ -511,8 +535,8 @@ ExperimentRunner::runMeasurement(const MachineConfig &cfg,
  * benchmark invocation's 50Hz run) goes through the FaultInjector
  * and PowerTraceLogger; the raw pipeline (policy.harden == false)
  * then averages whatever the logger recorded, while the hardened
- * pipeline validates, retries, screens and re-runs per
- * MeasurementPolicy. Fully deterministic: sessions are numbered, and
+ * pipeline validates, retries, screens and re-runs within the gates
+ * and caps at the top of this file. Fully deterministic: sessions are numbered, and
  * every random decision flows from the experiment's derived stream.
  */
 Measurement
@@ -630,13 +654,13 @@ ExperimentRunner::faultedMeasurement(const MachineConfig &cfg,
                 ++tailN;
             }
         }
-        if (kept < policy.minSampleFraction * s.expectedSamples)
+        if (kept < minSampleFraction * s.expectedSamples)
             return false;
         const double mean = sum / kept;
         if (headN > 0 && tailN > 0 && mean > 0.0) {
             const double skew =
                 std::fabs(headSum / headN - tailSum / tailN);
-            if (skew > policy.balanceGateRel * mean)
+            if (skew > balanceGateRel * mean)
                 return false;
         }
         out.timeSec = s.measuredTime;
@@ -647,7 +671,7 @@ ExperimentRunner::faultedMeasurement(const MachineConfig &cfg,
     // One accepted invocation, re-running invalid sessions with a
     // fresh stream up to the retry cap.
     auto acquire = [&]() {
-        for (int attempt = 0; attempt <= policy.maxRetries; ++attempt) {
+        for (int attempt = 0; attempt <= maxRetries; ++attempt) {
             if (attempt > 0)
                 ++m.retries;
             const Session s = runSession();
@@ -690,7 +714,7 @@ ExperimentRunner::faultedMeasurement(const MachineConfig &cfg,
         // The noise floor keeps a near-zero MAD (tightly clustered
         // invocations) from rejecting everything over rounding dust.
         const double limit =
-            policy.outlierMadK * std::max(mad, 0.005 * med);
+            outlierMadK * std::max(mad, 0.005 * med);
         timeStats = Summary();
         powerStats = Summary();
         rejected = 0;
@@ -706,9 +730,9 @@ ExperimentRunner::faultedMeasurement(const MachineConfig &cfg,
 
     aggregate();
     while ((timeStats.count() < 2 ||
-            timeStats.ci95Relative() > policy.ciGateRel ||
-            powerStats.ci95Relative() > policy.ciGateRel) &&
-           m.extraInvocations < policy.maxExtraInvocations) {
+            timeStats.ci95Relative() > ciGateRel ||
+            powerStats.ci95Relative() > ciGateRel) &&
+           m.extraInvocations < maxExtraInvocations) {
         ++m.extraInvocations;
         if (!acquire())
             m.degraded = true;
@@ -726,8 +750,8 @@ ExperimentRunner::faultedMeasurement(const MachineConfig &cfg,
         }
         m.degraded = true;
     }
-    if (timeStats.ci95Relative() > policy.ciGateRel ||
-        powerStats.ci95Relative() > policy.ciGateRel)
+    if (timeStats.ci95Relative() > ciGateRel ||
+        powerStats.ci95Relative() > ciGateRel)
         m.degraded = true;
 
     m.outlierInvocations = rejected;

@@ -65,35 +65,15 @@ struct CacheStats
  * accepted invocations with a median/MAD outlier test, and keeps
  * adding invocations until the 95% CIs pass the gate — all within
  * hard caps, so a dead rig degrades to a FaultError instead of an
- * infinite loop. None of this runs when the plan injects nothing:
- * the clean path is byte-identical to the fault-free laboratory.
+ * infinite loop. The gates and caps are fixed constants of the
+ * protocol (runner.cc). None of this runs when the plan injects
+ * nothing: the clean path is byte-identical to the fault-free
+ * laboratory.
  */
 struct MeasurementPolicy
 {
     /** Recover (true) or record the raw faulted stream (false). */
     bool harden = true;
-
-    /** Re-run until both relative 95% CIs are inside this gate. */
-    double ciGateRel = 0.05;
-
-    /**
-     * A session whose first- and second-half power means differ by
-     * more than this fraction is rejected (calibration drift,
-     * throttle or co-runner windows show up as exactly this skew).
-     */
-    double balanceGateRel = 0.04;
-
-    /** Minimum surviving-sample fraction for a session to count. */
-    double minSampleFraction = 0.6;
-
-    /** Re-runs allowed per invalid invocation. */
-    int maxRetries = 3;
-
-    /** Extra invocations allowed by the CI gate. */
-    int maxExtraInvocations = 12;
-
-    /** Median/MAD rejection threshold across invocations. */
-    double outlierMadK = 6.0;
 };
 
 /**

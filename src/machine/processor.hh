@@ -169,12 +169,14 @@ struct MachineConfig
 
 /**
  * Exact identity of a configuration: "id|cores|smt|clock|turbo|",
- * the clock printed with %.6f. It is the configuration prefix of
- * ExperimentRunner::keyOf, so configurations share a key exactly
- * when they share memo entries and random streams; grids
- * deduplicate on it. `suffix` is appended in the same allocation
- * (keyOf passes the benchmark name). label() is NOT a substitute
- * (it rounds the clock to 0.1GHz).
+ * the clock printed with %.6f. The one place that decides experiment
+ * identity: it is the configuration prefix of ExperimentRunner::keyOf,
+ * so configurations share a key exactly when they share memo entries
+ * and random streams, and the result store, sweep resume, merge and
+ * FaultPlan::poisonedConfig key on it too; grids deduplicate on it.
+ * `suffix` is appended in the same allocation (keyOf passes the
+ * benchmark name). label() is for display only (it rounds the clock
+ * to 0.1GHz).
  */
 std::string configKey(const MachineConfig &cfg,
                       std::string_view suffix = {});

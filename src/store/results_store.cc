@@ -13,8 +13,10 @@ namespace lhr
 namespace
 {
 
+// Written by save() and required by tryLoad(). The first column is
+// configKey(), the exact identity.
 const char *const storeHeader =
-    "config,benchmark,time_s,time_ci95,power_w,power_ci95";
+    "config_key,benchmark,time_s,time_ci95,power_w,power_ci95";
 
 bool
 finiteRow(const StoredResult &row)
@@ -46,31 +48,30 @@ StoredResult::sameBits(const StoredResult &other) const
 }
 
 std::string
-ResultStore::key(const std::string &config_label,
-                 const std::string &benchmark)
+ResultStore::key(const std::string &config, const std::string &benchmark)
 {
-    return config_label + "\x1f" + benchmark;
+    return config + "\x1f" + benchmark;
 }
 
 void
 ResultStore::put(const StoredResult &row)
 {
-    rows[key(row.configLabel, row.benchmark)] = row;
+    rows[key(row.config, row.benchmark)] = row;
 }
 
 void
 ResultStore::put(const MachineConfig &cfg, const Benchmark &bench,
                  const Measurement &m)
 {
-    put({cfg.label(), bench.name, m.timeSec, m.timeCi95Rel, m.powerW,
+    put({configKey(cfg), bench.name, m.timeSec, m.timeCi95Rel, m.powerW,
          m.powerCi95Rel});
 }
 
 const StoredResult *
-ResultStore::find(const std::string &config_label,
+ResultStore::find(const std::string &config,
                   const std::string &benchmark) const
 {
-    const auto it = rows.find(key(config_label, benchmark));
+    const auto it = rows.find(key(config, benchmark));
     return it == rows.end() ? nullptr : &it->second;
 }
 
@@ -95,7 +96,7 @@ ResultStore::merge(const ResultStore &other)
         if (it != rows.end() && !it->second.sameBits(row)) {
             return Status::error(
                 StatusCode::Conflict,
-                "stores disagree on '" + row.configLabel + "' / '" +
+                "stores disagree on '" + row.config + "' / '" +
                     row.benchmark + "'");
         }
     }
@@ -114,15 +115,14 @@ ResultStore::save(std::ostream &os) const
         if (!finiteRow(row)) {
             return Status::error(
                 StatusCode::InvalidArgument,
-                "non-finite measurement for '" + row.configLabel +
+                "non-finite measurement for '" + row.config +
                     "' / '" + row.benchmark + "'");
         }
     }
-    CsvWriter csv(os, {"config", "benchmark", "time_s", "time_ci95",
-                       "power_w", "power_ci95"});
+    CsvWriter csv(os, splitCsvLine(storeHeader));
     for (const auto &[k, row] : rows) {
         csv.beginRow();
-        csv.field(row.configLabel);
+        csv.field(row.config);
         csv.field(row.benchmark);
         csv.field(row.timeSec, 6);
         csv.field(row.timeCi95Rel, 6);
@@ -181,9 +181,14 @@ ResultStore::tryLoad(std::istream &is)
     };
 
     std::string line;
+    // A file keyed by the rounded display label (header
+    // "config,...") is refused rather than loaded: none of its rows
+    // can match a configKey(), so a resume would silently re-measure
+    // everything and a merge would keep two names for one row.
     if (!getLine(line) || line != storeHeader) {
         return Status::error(StatusCode::ParseError,
-                             "missing or unexpected CSV header");
+                             msgOf("line 1: expected header '",
+                                   storeHeader, "'"));
     }
 
     ResultStore store;
@@ -202,8 +207,8 @@ ResultStore::tryLoad(std::istream &is)
         StoredResult row;
         // splitCsvLine already trimmed unquoted fields and kept
         // quoted ones verbatim; trimming again here would corrupt a
-        // quoted label whose whitespace is significant.
-        row.configLabel = fields[0];
+        // quoted key whose whitespace is significant.
+        row.config = fields[0];
         row.benchmark = fields[1];
         double *const numbers[4] = {&row.timeSec, &row.timeCi95Rel,
                                     &row.powerW, &row.powerCi95Rel};
@@ -217,11 +222,11 @@ ResultStore::tryLoad(std::istream &is)
             }
             *numbers[f] = parsed.value();
         }
-        if (store.find(row.configLabel, row.benchmark)) {
+        if (store.find(row.config, row.benchmark)) {
             return Status::error(
                 StatusCode::ParseError,
                 msgOf("line ", lineNo, ": duplicate row for '",
-                      row.configLabel, "' / '", row.benchmark, "'"));
+                      row.config, "' / '", row.benchmark, "'"));
         }
         store.put(row);
     }
@@ -244,15 +249,6 @@ ResultStore::tryLoadFile(const std::string &path)
     return store;
 }
 
-ResultStore
-ResultStore::load(std::istream &is)
-{
-    Expected<ResultStore> store = tryLoad(is);
-    if (!store.ok())
-        fatal("ResultStore: " + store.status().message());
-    return std::move(store).value();
-}
-
 StoreComparison
 compareStores(const ResultStore &before, const ResultStore &after,
               double tolerance)
@@ -262,10 +258,9 @@ compareStores(const ResultStore &before, const ResultStore &after,
 
     StoreComparison cmp;
     for (const auto *row : before.all()) {
-        const StoredResult *other =
-            after.find(row->configLabel, row->benchmark);
+        const StoredResult *other = after.find(row->config, row->benchmark);
         if (!other) {
-            cmp.onlyInBefore.push_back(row->configLabel + " / " +
+            cmp.onlyInBefore.push_back(row->config + " / " +
                                        row->benchmark);
             continue;
         }
@@ -280,13 +275,13 @@ compareStores(const ResultStore &before, const ResultStore &after,
         if (suspect || std::fabs(timeRatio - 1.0) > tolerance ||
             std::fabs(powerRatio - 1.0) > tolerance) {
             cmp.regressions.push_back(
-                {row->configLabel, row->benchmark, timeRatio,
+                {row->config, row->benchmark, timeRatio,
                  powerRatio, other->energyJ() / row->energyJ()});
         }
     }
     for (const auto *row : after.all()) {
-        if (!before.find(row->configLabel, row->benchmark))
-            cmp.onlyInAfter.push_back(row->configLabel + " / " +
+        if (!before.find(row->config, row->benchmark))
+            cmp.onlyInAfter.push_back(row->config + " / " +
                                       row->benchmark);
     }
     return cmp;

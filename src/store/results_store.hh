@@ -25,10 +25,15 @@
 namespace lhr
 {
 
-/** One stored measurement row. */
+/**
+ * One stored measurement row. `config` is configKey() of the
+ * configuration, the same exact identity the memo cache and the RNG
+ * streams use; the display label rounds the clock to 0.1GHz, so two
+ * configurations tens of MHz apart would share it.
+ */
 struct StoredResult
 {
-    std::string configLabel;
+    std::string config;
     std::string benchmark;
     double timeSec;
     double timeCi95Rel;
@@ -61,12 +66,12 @@ class ResultStore
     /** Insert or overwrite a row. */
     void put(const StoredResult &row);
 
-    /** Convenience: store a Measurement under its experiment key. */
+    /** Convenience: store a Measurement under configKey(cfg). */
     void put(const MachineConfig &cfg, const Benchmark &bench,
              const Measurement &m);
 
-    /** Find a row; nullptr when absent. */
-    [[nodiscard]] const StoredResult *find(const std::string &config_label,
+    /** Find a row by config key and benchmark; nullptr when absent. */
+    [[nodiscard]] const StoredResult *find(const std::string &config,
                              const std::string &benchmark) const;
 
     [[nodiscard]] size_t size() const { return rows.size(); }
@@ -104,22 +109,17 @@ class ResultStore
      * Parse a store from CSV as written by save(). A malformed
      * input — wrong header, truncated row, non-numeric or non-finite
      * field, duplicate (config, benchmark) key — returns a
-     * line-numbered ParseError instead of a store.
+     * line-numbered ParseError instead of a store. A file whose
+     * first column is the rounded display label (header "config")
+     * is refused at line 1: none of its rows could match a key.
      */
     [[nodiscard]] static Expected<ResultStore> tryLoad(std::istream &is);
 
     /** tryLoad() on a file; IoError when it cannot be opened. */
     [[nodiscard]] static Expected<ResultStore> tryLoadFile(const std::string &path);
 
-    /**
-     * Parse a store from CSV as written by save(). fatal()s on a
-     * malformed header or row (a user-supplied file is user input);
-     * front ends that want to report instead of exit use tryLoad().
-     */
-    [[nodiscard]] static ResultStore load(std::istream &is);
-
   private:
-    static std::string key(const std::string &config_label,
+    static std::string key(const std::string &config,
                            const std::string &benchmark);
 
     std::map<std::string, StoredResult> rows;
@@ -128,7 +128,7 @@ class ResultStore
 /** One row of a store comparison. */
 struct ResultDelta
 {
-    std::string configLabel;
+    std::string config; ///< configKey()
     std::string benchmark;
     double timeRatio;   ///< after / before
     double powerRatio;

@@ -119,7 +119,7 @@ SweepEngine::run(std::vector<MachineConfig> configs,
             const MachineConfig &cfg = report.configs[idx / nBench];
             const Benchmark &bench = report.benchmarks[idx % nBench];
             const StoredResult *prior =
-                options.warmStart->find(cfg.label(), bench.name);
+                options.warmStart->find(configKey(cfg), bench.name);
             if (prior &&
                 runner.seedCache(cfg, bench, prior->toMeasurement())) {
                 ++report.seededCells;

@@ -77,11 +77,12 @@ struct SweepOptions
 
     /**
      * Warm-start store for checkpoint/resume: cells of this sweep
-     * found in the store (by config label and benchmark name) are
-     * pre-seeded into the runner's memo cache and come back as
-     * cache hits without re-measuring. Only the persisted fields
-     * survive (see StoredResult::toMeasurement). The store must
-     * outlive run(); not owned.
+     * found in the store (by configKey() and benchmark name, so a
+     * row seeds only its exact configuration) are pre-seeded into
+     * the runner's memo cache and come back as cache hits without
+     * re-measuring. Only the persisted fields survive (see
+     * StoredResult::toMeasurement). The store must outlive run();
+     * not owned.
      */
     const ResultStore *warmStart = nullptr;
 

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <sys/wait.h>
@@ -61,7 +62,7 @@ writeFile(const std::string &name, const std::string &text)
 }
 
 const char *const storeHeader =
-    "config,benchmark,time_s,time_ci95,power_w,power_ci95\n";
+    "config_key,benchmark,time_s,time_ci95,power_w,power_ci95\n";
 
 } // namespace
 
@@ -304,6 +305,26 @@ TEST(Cli, MergeConflictingShardsExitsNonzero)
                             << out;
     std::remove(a.c_str());
     std::remove(b.c_str());
+}
+
+TEST(Cli, ResumeRefusesALabelKeyedStore)
+{
+    // A store keyed by the rounded display label can never match a
+    // config key: resuming from it must fail loudly, not quietly
+    // re-measure the whole grid over it.
+    const std::string labelKeyed =
+        "config,benchmark,time_s,time_ci95,power_w,power_ci95\n"
+        "Atom (45) 1C2T@1.7GHz,gcc,1.000000,0.010000,4.000000,"
+        "0.100000\n";
+    const std::string path = writeFile("cli_label_keyed.csv", labelKeyed);
+    const CliResult r = runCli("snapshot " + path + " --45nm --resume");
+    EXPECT_NE(r.exitCode, 0) << r.output;
+    EXPECT_TRUE(mentions(r, "config_key")) << r.output;
+    std::ifstream is(path);
+    const std::string kept((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(kept, labelKeyed);
+    std::remove(path.c_str());
 }
 
 TEST(Cli, DeadlineBeyondTheCapExitsTwo)

@@ -293,7 +293,7 @@ TEST(Runner, PoisonedConfigThrowsTypedFaultError)
 
     ExperimentRunner runner(0xBEEF);
     FaultPlan plan;
-    plan.poisonedConfig = poisoned.label();
+    plan.poisonedConfig = configKey(poisoned);
     runner.setFaultPlan(plan);
 
     try {
@@ -310,6 +310,27 @@ TEST(Runner, PoisonedConfigThrowsTypedFaultError)
     ExperimentRunner plain(0xBEEF);
     EXPECT_TRUE(identical(runner.measure(healthy, bench),
                           plain.measure(healthy, bench)));
+}
+
+TEST(Runner, PoisonMatchesTheExactConfig)
+{
+    // i7 (45) at 1.66 and at 1.70 GHz share the rounded display
+    // label; poisoning one must leave the other measuring.
+    const auto stock = stockConfig(processorById("i7 (45)"));
+    const auto poisoned = withClock(stock, 1.66);
+    const auto neighbour = withClock(stock, 1.70);
+    ASSERT_EQ(poisoned.label(), neighbour.label());
+    const auto &bench = benchmarkByName("mcf");
+
+    ExperimentRunner runner(0xBEEF);
+    FaultPlan plan;
+    plan.poisonedConfig = configKey(poisoned);
+    runner.setFaultPlan(plan);
+
+    EXPECT_THROW(runner.measure(poisoned, bench), FaultError);
+    ExperimentRunner plain(0xBEEF);
+    EXPECT_TRUE(identical(runner.measure(neighbour, bench),
+                          plain.measure(neighbour, bench)));
 }
 
 TEST(Runner, HardenedPipelineRecoversFromSaturation)
@@ -368,9 +389,6 @@ TEST(Runner, DeadRigDegradesToFaultErrorNotAHang)
 
     ExperimentRunner runner(0xBEEF);
     runner.setFaultPlan(plan);
-    MeasurementPolicy policy;
-    policy.minSampleFraction = 0.9; // nothing survives this gate
-    runner.setMeasurementPolicy(policy);
 
     EXPECT_THROW(runner.measure(cfg, bench), FaultError);
 }

@@ -278,51 +278,6 @@ TEST(PerfCompare, MarkdownTableMarksPassAndFail)
     EXPECT_NE(passing.find("ok (tol"), std::string::npos);
 }
 
-TEST(PerfCompare, HtmlReportIsSelfContainedAndMarksTheGate)
-{
-    const auto before =
-        parsePerfRecords(baseline(1000.0, 0.0)).value();
-    const auto after =
-        parsePerfRecords(baseline(700.0, 0.0)).value();
-    const std::string html = perfReportHtml(
-        {{"A vs B", comparePerfRecords(before, after, 0.15)}},
-        "Perf <baseline> \"report\"");
-
-    // Single-file: a full document with inline CSS, no external
-    // assets, and the title HTML-escaped.
-    EXPECT_EQ(html.rfind("<!DOCTYPE html>", 0), 0u);
-    EXPECT_NE(html.find("<style>"), std::string::npos);
-    EXPECT_EQ(html.find("href="), std::string::npos);
-    EXPECT_EQ(html.find("src="), std::string::npos);
-    EXPECT_NE(html.find("Perf &lt;baseline&gt; &quot;report&quot;"),
-              std::string::npos);
-
-    // The regressed metric fails the gate, with a red delta bar.
-    EXPECT_NE(html.find("<h2>A vs B</h2>"), std::string::npos);
-    EXPECT_NE(html.find("<span class=\"fail\">FAIL</span>"),
-              std::string::npos);
-    EXPECT_NE(html.find("-30.0%"), std::string::npos);
-    EXPECT_NE(html.find("background:#c0392b"), std::string::npos);
-
-    const std::string passing = perfReportHtml(
-        {{"A vs A", comparePerfRecords(before, before, 0.15)}}, "t");
-    EXPECT_EQ(passing.find("FAIL"), std::string::npos);
-    EXPECT_NE(passing.find("<span class=\"ok\">ok</span>"),
-              std::string::npos);
-}
-
-TEST(PerfCompare, HtmlReportNotesRecordChurn)
-{
-    const auto before = parsePerfRecords(
-        "[{\"name\": \"gone\", \"metrics\": {}}]").value();
-    const auto after = parsePerfRecords(
-        "[{\"name\": \"new\", \"metrics\": {}}]").value();
-    const std::string html = perfReportHtml(
-        {{"churn", comparePerfRecords(before, after, 0.15)}}, "t");
-    EXPECT_NE(html.find("record removed"), std::string::npos);
-    EXPECT_NE(html.find("new record"), std::string::npos);
-}
-
 // ---- the real gate binary ------------------------------------------
 
 TEST(BenchCompareCli, PassesOnIdenticalBaselines)
@@ -445,29 +400,6 @@ TEST(BenchCompareCli, SummaryFileReceivesTheTable)
                      std::istreambuf_iterator<char>());
     EXPECT_NE(text.find("| record | metric |"), std::string::npos);
     EXPECT_NE(text.find("+10.0%"), std::string::npos);
-}
-
-TEST(BenchCompareCli, HtmlFlagWritesTheSingleFileReport)
-{
-    const std::string a =
-        writeFile("bc_html_a.json", baseline(1000.0, 0.0));
-    const std::string b =
-        writeFile("bc_html_b.json", baseline(600.0, 0.0));
-    const std::string out = testing::TempDir() + "bc_report.html";
-    std::remove(out.c_str());
-    // The report is written even when the gate fails — that run is
-    // the one whose delta you want to look at.
-    const CliResult r =
-        runGate("--html " + out + " " + a + " " + b);
-    EXPECT_EQ(r.exitCode, 1) << r.output;
-
-    std::ifstream in(out);
-    ASSERT_TRUE(in.good()) << out;
-    std::string html((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    EXPECT_EQ(html.rfind("<!DOCTYPE html>", 0), 0u);
-    EXPECT_NE(html.find("sweep_serial"), std::string::npos);
-    EXPECT_NE(html.find("FAIL"), std::string::npos);
 }
 
 } // namespace lhr

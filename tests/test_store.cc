@@ -10,9 +10,11 @@
 #include <fstream>
 #include <limits>
 #include <random>
+#include <set>
 #include <sstream>
 
 #include "store/results_store.hh"
+#include "study/study.hh"
 #include "sweep/sweep.hh"
 #include "util/status.hh"
 
@@ -59,6 +61,40 @@ TEST(Store, PutFindOverwrite)
     EXPECT_EQ(store.find("cfgB", "mcf"), nullptr);
 }
 
+TEST(Store, ConfigsSharingALabelKeepTheirOwnRows)
+{
+    // The display label rounds the clock to 0.1GHz: i7 (45) at 1.66
+    // and at 1.70 GHz both read "@1.7GHz" but are two experiments.
+    const MachineConfig stock = stockConfig(processorById("i7 (45)"));
+    const MachineConfig low = withClock(stock, 1.66);
+    const MachineConfig high = withClock(stock, 1.70);
+    ASSERT_EQ(low.label(), high.label());
+    const Benchmark &bench = benchmarkByName("mcf");
+    Measurement atLow, atHigh;
+    atLow.powerW = 11.0;
+    atHigh.powerW = 12.0;
+
+    ResultStore store;
+    store.put(low, bench, atLow);
+    store.put(high, bench, atHigh);
+    ASSERT_EQ(store.size(), 2u);
+    EXPECT_DOUBLE_EQ(store.find(configKey(low), "mcf")->powerW, 11.0);
+    EXPECT_DOUBLE_EQ(store.find(configKey(high), "mcf")->powerW, 12.0);
+
+    // Every configuration the studies declare keeps its own row,
+    // although several of them share a label.
+    const std::vector<MachineConfig> grid =
+        unionGrid(StudyRegistry::instance().all());
+    std::set<std::string> labels;
+    ResultStore all;
+    for (const MachineConfig &cfg : grid) {
+        labels.insert(cfg.label());
+        all.put(cfg, bench, atLow);
+    }
+    ASSERT_LT(labels.size(), grid.size());
+    EXPECT_EQ(all.size(), grid.size());
+}
+
 TEST(Store, SaveLoadRoundTrip)
 {
     ResultStore store;
@@ -70,36 +106,18 @@ TEST(Store, SaveLoadRoundTrip)
     std::ostringstream os;
     ASSERT_TRUE(store.save(os).ok());
     std::istringstream is(os.str());
-    const ResultStore loaded = ResultStore::load(is);
+    const Expected<ResultStore> parsed = ResultStore::tryLoad(is);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+    const ResultStore &loaded = parsed.value();
 
     EXPECT_EQ(loaded.size(), store.size());
     for (const auto *original : store.all()) {
         const StoredResult *copy = loaded.find(
-            original->configLabel, original->benchmark);
-        ASSERT_NE(copy, nullptr) << original->configLabel;
+            original->config, original->benchmark);
+        ASSERT_NE(copy, nullptr) << original->config;
         EXPECT_NEAR(copy->timeSec, original->timeSec, 1e-5);
         EXPECT_NEAR(copy->powerW, original->powerW, 1e-5);
         EXPECT_NEAR(copy->timeCi95Rel, original->timeCi95Rel, 1e-5);
-    }
-}
-
-TEST(Store, LoadRejectsGarbage)
-{
-    {
-        std::istringstream is("not,a,store\n");
-        EXPECT_DEATH(ResultStore::load(is), "header");
-    }
-    {
-        std::istringstream is(
-            "config,benchmark,time_s,time_ci95,power_w,power_ci95\n"
-            "cfg,mcf,1.0,0.01\n");
-        EXPECT_DEATH(ResultStore::load(is), "fields");
-    }
-    {
-        std::istringstream is(
-            "config,benchmark,time_s,time_ci95,power_w,power_ci95\n"
-            "cfg,mcf,banana,0.01,40.0,0.01\n");
-        EXPECT_DEATH(ResultStore::load(is), "bad number");
     }
 }
 
@@ -109,13 +127,14 @@ TEST(Store, LoadAcceptsCrlfLineEndings)
     // CRLF line ends; getline used to leave the '\r' in the last
     // field and parseDouble fatal()ed on it.
     std::istringstream is(
-        "config,benchmark,time_s,time_ci95,power_w,power_ci95\r\n"
+        "config_key,benchmark,time_s,time_ci95,power_w,power_ci95\r\n"
         "cfg,mcf,1.500000,0.010000,40.250000,0.020000\r\n"
         "\r\n"
         "cfg,xalan,2.000000,0.010000,30.000000,0.010000\r\n");
-    const ResultStore loaded = ResultStore::load(is);
-    EXPECT_EQ(loaded.size(), 2u);
-    const StoredResult *found = loaded.find("cfg", "mcf");
+    const Expected<ResultStore> loaded = ResultStore::tryLoad(is);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+    EXPECT_EQ(loaded.value().size(), 2u);
+    const StoredResult *found = loaded.value().find("cfg", "mcf");
     ASSERT_NE(found, nullptr);
     EXPECT_DOUBLE_EQ(found->timeSec, 1.5);
     EXPECT_DOUBLE_EQ(found->powerW, 40.25);
@@ -126,27 +145,20 @@ TEST(Store, LoadToleratesPaddedNumericFields)
 {
     // Hand-edited files often pick up stray spaces around numbers.
     std::istringstream is(
-        "config,benchmark,time_s,time_ci95,power_w,power_ci95\n"
+        "config_key,benchmark,time_s,time_ci95,power_w,power_ci95\n"
         "cfg,mcf, 1.5 ,0.01, 40.25\t,0.02\n");
-    const ResultStore loaded = ResultStore::load(is);
-    const StoredResult *found = loaded.find("cfg", "mcf");
+    const Expected<ResultStore> loaded = ResultStore::tryLoad(is);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+    const StoredResult *found = loaded.value().find("cfg", "mcf");
     ASSERT_NE(found, nullptr);
     EXPECT_DOUBLE_EQ(found->timeSec, 1.5);
     EXPECT_DOUBLE_EQ(found->powerW, 40.25);
 }
 
-TEST(Store, LoadStillRejectsWhitespaceOnlyNumber)
-{
-    std::istringstream is(
-        "config,benchmark,time_s,time_ci95,power_w,power_ci95\n"
-        "cfg,mcf,  ,0.01,40.0,0.01\n");
-    EXPECT_DEATH(ResultStore::load(is), "bad number");
-}
-
 TEST(Store, TryLoadReportsTypedLineNumberedErrors)
 {
     const std::string header =
-        "config,benchmark,time_s,time_ci95,power_w,power_ci95\n";
+        "config_key,benchmark,time_s,time_ci95,power_w,power_ci95\n";
 
     struct Case
     {
@@ -156,12 +168,18 @@ TEST(Store, TryLoadReportsTypedLineNumberedErrors)
     };
     const Case cases[] = {
         {"wrong header", "not,a,store\n", "header"},
+        {"label-keyed header",
+         "config,benchmark,time_s,time_ci95,power_w,power_ci95\n"
+         "cfg,mcf,1.0,0.01,40.0,0.01\n",
+         "line 1: expected header 'config_key,"},
         {"truncated row", header + "cfg,mcf,1.0,0.01\n",
          "line 2 has 4 fields"},
         {"extra fields", header + "cfg,mcf,1.0,0.01,40.0,0.01,9\n",
          "line 2 has 7 fields"},
         {"non-numeric", header + "cfg,mcf,banana,0.01,40.0,0.01\n",
-         "line 2"},
+         "line 2: bad number"},
+        {"whitespace-only number", header + "cfg,mcf,  ,0.01,40.0,0.01\n",
+         "line 2: bad number"},
         {"nan field", header + "cfg,mcf,nan,0.01,40.0,0.01\n",
          "line 2"},
         {"inf field", header + "cfg,mcf,1.0,0.01,inf,0.01\n",
@@ -248,11 +266,12 @@ TEST(Store, SaveToFileOverwriteKeepsOldFileOnFailure)
 TEST(Store, LoadSkipsBlankLines)
 {
     std::istringstream is(
-        "config,benchmark,time_s,time_ci95,power_w,power_ci95\n"
+        "config_key,benchmark,time_s,time_ci95,power_w,power_ci95\n"
         "cfg,mcf,1.000000,0.010000,40.000000,0.010000\n"
         "\n");
-    const ResultStore loaded = ResultStore::load(is);
-    EXPECT_EQ(loaded.size(), 1u);
+    const Expected<ResultStore> loaded = ResultStore::tryLoad(is);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+    EXPECT_EQ(loaded.value().size(), 1u);
 }
 
 TEST(Store, CompareCleanWhenIdentical)
@@ -313,7 +332,7 @@ TEST(Store, SnapshotMatchesRunner)
     EXPECT_EQ(store.size(), allBenchmarks().size());
     const auto &bench = benchmarkByName("jess");
     const StoredResult *found =
-        store.find(configs[0].label(), bench.name);
+        store.find(configKey(configs[0]), bench.name);
     ASSERT_NE(found, nullptr);
     EXPECT_DOUBLE_EQ(found->timeSec,
                      runner.measure(configs[0], bench).timeSec);
@@ -364,8 +383,8 @@ TEST(Store, SnapshotTakesAnExplicitGrid)
     const ResultStore store =
         toStore(SweepEngine(runner).run(configs, benchmarks));
     EXPECT_EQ(store.size(), 2u);
-    EXPECT_NE(store.find(configs[0].label(), "mcf"), nullptr);
-    EXPECT_NE(store.find(configs[0].label(), "xalan"), nullptr);
+    EXPECT_NE(store.find(configKey(configs[0]), "mcf"), nullptr);
+    EXPECT_NE(store.find(configKey(configs[0]), "xalan"), nullptr);
 }
 
 TEST(Store, CompareFlagsZeroBaselineAsRegression)
@@ -474,10 +493,10 @@ TEST(Store, HostileLabelsRoundTrip)
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     ASSERT_EQ(loaded.value().size(), store.size());
     for (const auto *original : store.all()) {
-        EXPECT_NE(loaded.value().find(original->configLabel,
+        EXPECT_NE(loaded.value().find(original->config,
                                       original->benchmark),
                   nullptr)
-            << "'" << original->configLabel << "'";
+            << "'" << original->config << "'";
     }
     EXPECT_EQ(savedText(loaded.value()), first);
 }
@@ -488,7 +507,7 @@ TEST(Store, QuotedFieldAfterStrayWhitespaceStaysOneField)
     // quote was the first character of the field, so a hand-edited
     // ` "a,b"` split at the embedded comma.
     std::istringstream is(
-        "config,benchmark,time_s,time_ci95,power_w,power_ci95\n"
+        "config_key,benchmark,time_s,time_ci95,power_w,power_ci95\n"
         " \"a,b\" ,mcf,1.500000,0.010000,40.000000,0.010000\n");
     const Expected<ResultStore> loaded = ResultStore::tryLoad(is);
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();

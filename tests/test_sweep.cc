@@ -232,7 +232,7 @@ TEST(Sweep, PoisonedConfigDegradesToOneFlaggedRow)
 
     ExperimentRunner runner(0xBEEF);
     FaultPlan plan;
-    plan.poisonedConfig = configs[7].label();
+    plan.poisonedConfig = configKey(configs[7]);
     runner.setFaultPlan(plan);
 
     SweepEngine engine(runner, {.threads = 4});
@@ -241,7 +241,7 @@ TEST(Sweep, PoisonedConfigDegradesToOneFlaggedRow)
     ASSERT_EQ(report.cells.size(), 45u);
     size_t flagged = 0;
     for (const SweepCell &cell : report.cells) {
-        if (cell.config->label() == plan.poisonedConfig) {
+        if (configKey(*cell.config) == plan.poisonedConfig) {
             ++flagged;
             EXPECT_FALSE(cell.ok());
             EXPECT_EQ(cell.measurement, nullptr);
@@ -253,7 +253,7 @@ TEST(Sweep, PoisonedConfigDegradesToOneFlaggedRow)
         }
     }
     // Several of the 45 configurations are derated variants of the
-    // same label; the poisoned label appears exactly once here.
+    // same part; the poisoned key appears exactly once here.
     EXPECT_EQ(flagged, 1u);
     EXPECT_EQ(report.failedCells(), 1u);
     EXPECT_NE(report.summary().find("1 failed"), std::string::npos);
@@ -377,7 +377,7 @@ TEST(Sweep, ToStoreKeepsEveryCell)
     const ResultStore store = toStore(report);
     EXPECT_EQ(store.size(), report.cells.size());
     const StoredResult *found =
-        store.find(configs[0].label(), benchmarks[0].name);
+        store.find(configKey(configs[0]), benchmarks[0].name);
     ASSERT_NE(found, nullptr);
     EXPECT_DOUBLE_EQ(found->timeSec,
                      report.cells[0].measurement->timeSec);
@@ -388,7 +388,7 @@ TEST(Sweep, ToStoreKeepsEveryCell)
         toStore(SweepEngine(serialRunner).run({configs[0]}, allBenchmarks()));
     for (const auto *row : serialStore.all()) {
         const StoredResult *other =
-            store.find(row->configLabel, row->benchmark);
+            store.find(row->config, row->benchmark);
         if (other)
             EXPECT_DOUBLE_EQ(other->timeSec, row->timeSec);
     }
@@ -580,6 +580,33 @@ TEST(Sweep, WarmStartResumesWithoutRemeasuring)
     EXPECT_EQ(savedText(toStore(report)), savedText(prior));
 }
 
+TEST(Sweep, WarmStartSeedsOnlyTheExactConfig)
+{
+    // i7 (45) at 1.66 and at 1.70 GHz share the rounded display
+    // label; a store row of one must never seed the other.
+    const MachineConfig stock = stockConfig(processorById("i7 (45)"));
+    const MachineConfig low = withClock(stock, 1.66);
+    const MachineConfig high = withClock(stock, 1.70);
+    ASSERT_EQ(low.label(), high.label());
+    const std::vector<Benchmark> benchmarks = {benchmarkByName("mcf")};
+
+    ExperimentRunner first(0xBEEF);
+    const ResultStore prior =
+        toStore(SweepEngine(first).run({low}, benchmarks));
+    ASSERT_EQ(prior.size(), 1u);
+
+    ExperimentRunner resumed(0xBEEF);
+    SweepEngine engine(resumed, {.threads = 1, .warmStart = &prior});
+    const SweepReport report = engine.run({high}, benchmarks);
+    EXPECT_EQ(report.seededCells, 0u);
+    EXPECT_EQ(report.cache.misses, 1u);
+    ASSERT_TRUE(report.cells[0].ok());
+
+    ExperimentRunner fresh(0xBEEF);
+    EXPECT_TRUE(identical(*report.cells[0].measurement,
+                          fresh.measure(high, benchmarks[0])));
+}
+
 TEST(Sweep, PartialWarmStartMeasuresOnlyTheMissingCells)
 {
     const auto configs = testConfigs();
@@ -670,9 +697,9 @@ TEST(Sweep, CheckpointPersistsMidRunAndResumes)
     ResultStore fullSubset;
     for (const auto *r : checkpoint.value().all()) {
         const StoredResult *other =
-            full.find(r->configLabel, r->benchmark);
+            full.find(r->config, r->benchmark);
         ASSERT_NE(other, nullptr)
-            << r->configLabel << " / " << r->benchmark;
+            << r->config << " / " << r->benchmark;
         fullSubset.put(*other);
     }
     EXPECT_EQ(savedText(checkpoint.value()), savedText(fullSubset));
