@@ -86,7 +86,6 @@ usage(std::ostream &os)
         "  merge <out.csv> <in.csv> [in.csv ...]\n"
         "  compare <before.csv> <after.csv> [tolerance]\n"
         "  serve --socket PATH [--workers N] [--queue N]\n"
-        "        [--deadline MS]\n"
         "  loadgen --socket PATH [--clients N[,N...]]\n"
         "          [--requests N] [--keys N] [--deadline MS]\n"
         "          [--stall MS] [--reps N] [--json FILE]\n";
@@ -676,8 +675,6 @@ cmdServe(const std::vector<std::string> &args)
             if (!depth.ok())
                 usageError("--queue: " + depth.status().message());
             options.queueDepth = static_cast<size_t>(depth.value());
-        } else if (opt == "--deadline") {
-            options.defaultDeadlineMs = deadlineArg(value);
         } else {
             usageError("unknown serve option " + opt);
         }

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "sensor/gauss_kernel.hh"
-#include "util/arena.hh"
 #include "util/logging.hh"
 
 namespace lhr
@@ -20,11 +20,20 @@ sampleSessionWatts(const PowerChannel &channel,
 {
     static const GaussKernelFn kernel = resolveGaussKernel();
     static const SampleQuantizeFn quantize = resolveSampleQuantize();
-    thread_local Arena arena;
-    arena.reset();
-
     if (samples <= 0 || phases <= 0)
         panic("sampleSessionWatts: empty session");
+
+    // Scratch arrays are slices of two grow-only per-thread buffers,
+    // so a warm thread allocates nothing per session: seven double
+    // arrays of `samples` (G1, G2, W, and the four Box-Muller pair
+    // arrays, pairs <= samples) and two int32 arrays.
+    const size_t n = static_cast<size_t>(samples);
+    thread_local std::vector<double> doubles;
+    thread_local std::vector<int32_t> ints;
+    if (doubles.size() < 7 * n)
+        doubles.resize(7 * n);
+    if (ints.size() < 2 * n)
+        ints.resize(2 * n);
 
     // ---- Gaussian stream ------------------------------------------
     // The scalar loop draws 2 gaussians per sample: supply ripple
@@ -35,8 +44,8 @@ sampleSessionWatts(const PowerChannel &channel,
     // [i / 2], so the two per-sample streams come out deinterleaved
     // for the batch quantizer.
     const size_t need = 2 * static_cast<size_t>(samples);
-    double *G1 = arena.alloc<double>(samples);
-    double *G2 = arena.alloc<double>(samples);
+    double *G1 = doubles.data();
+    double *G2 = G1 + n;
     // Select the row pointer first, then index it. GCC 12 with
     // -fsanitize=shift (or signed-integer-overflow, or either
     // divide-by-zero check) miscompiles `(i & 1 ? G2 : G1)[i >> 1]`
@@ -55,14 +64,14 @@ sampleSessionWatts(const PowerChannel &channel,
     // order (u1 positive-rejected, then u2), so the raw stream is
     // untouched; only log/sin/cos go through the batch kernel.
     const size_t pairs = (need - drained + 1) / 2;
-    double *u1 = arena.alloc<double>(pairs);
-    double *u2 = arena.alloc<double>(pairs);
+    double *u1 = G2 + n;
+    double *u2 = u1 + n;
     for (size_t j = 0; j < pairs; ++j) {
         u1[j] = inv_rng.uniformPositive();
         u2[j] = inv_rng.uniform();
     }
-    double *gc = arena.alloc<double>(pairs);
-    double *gs = arena.alloc<double>(pairs);
+    double *gc = u2 + n;
+    double *gs = gc + n;
     kernel(u1, u2, gc, gs, pairs);
     for (size_t j = 0; j < pairs; ++j) {
         const size_t ci = drained + 2 * j;
@@ -118,7 +127,7 @@ sampleSessionWatts(const PowerChannel &channel,
     // ---- Quantize the whole session in batch ----------------------
     // W[s] = phase power x invocation scale, the sample's pre-ripple
     // watts; k = (s * phases) / samples tracked incrementally.
-    double *W = arena.alloc<double>(samples);
+    double *W = gs + n;
     {
         int k = 0, rem = 0;
         for (int s = 0; s < samples; ++s) {
@@ -131,8 +140,8 @@ sampleSessionWatts(const PowerChannel &channel,
         }
     }
 
-    int32_t *counts = arena.alloc<int32_t>(samples);
-    int32_t *uncertain = arena.alloc<int32_t>(samples);
+    int32_t *counts = ints.data();
+    int32_t *uncertain = counts + n;
     const size_t flagged =
         quantize(W, G1, G2, samples, p, counts, uncertain);
 

@@ -8,10 +8,10 @@
 
 #include "fault/fault.hh"
 #include "serve/protocol.hh"
-#include "util/bounded_queue.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/net.hh"
+#include "util/thread_pool.hh"
 
 namespace lhr
 {
@@ -25,7 +25,7 @@ using Clock = std::chrono::steady_clock;
 constexpr int acceptPollMs = 100;
 
 /**
- * One connected client. Workers and the connection's reader thread
+ * One connected client. Pool tasks and the connection's reader thread
  * both write replies, so every frame goes out under the write lock —
  * frames interleave, bytes within a frame never do.
  */
@@ -43,7 +43,7 @@ struct ClientConn
     std::mutex writeMutex;
 };
 
-/** One queued measure request, waiting for a worker. */
+/** One admitted measure request, queued on the pool. */
 struct Job
 {
     ServeRequest req;
@@ -82,13 +82,12 @@ sendBestEffort(ClientConn &conn, const std::string &body)
 struct LabServer::Impl
 {
     Impl(ExperimentRunner &r, ServeOptions o)
-        : runner(r), options(std::move(o)), queue(options.queueDepth)
+        : runner(r), options(std::move(o))
     {
     }
 
     ExperimentRunner &runner;
     const ServeOptions options;
-    BoundedQueue<Job> queue;
     Counters counters;
 
     std::atomic<bool> draining{false};
@@ -96,13 +95,16 @@ struct LabServer::Impl
     std::mutex connMutex; ///< guards conns (list of live connections)
     std::vector<std::shared_ptr<ClientConn>> conns;
 
+    /** Runs admitted jobs; last, so it drains before the rest die. */
+    ThreadPool pool{options.workers};
+
     void serveMeasure(const ServeRequest &req,
                       const std::shared_ptr<ClientConn> &conn);
     void serveStats(const ServeRequest &req, ClientConn &conn);
     void handleFrame(const std::string &body,
                      const std::shared_ptr<ClientConn> &conn);
     void connectionLoop(std::shared_ptr<ClientConn> conn);
-    void workerLoop();
+    void runJob(const Job &job);
     void requestDrain();
     [[nodiscard]] ServeStatsSnapshot snapshot() const;
 };
@@ -144,9 +146,9 @@ LabServer::Impl::serveStats(const ServeRequest &req, ClientConn &conn)
     json.key("invalid_arguments").value(s.invalidArguments);
     json.key("refused_draining").value(s.refusedDraining);
     json.key("internal_errors").value(s.internalErrors);
-    json.key("queue_depth").value(static_cast<uint64_t>(queue.size()));
+    json.key("queue_depth").value(static_cast<uint64_t>(pool.queued()));
     json.key("queue_capacity")
-        .value(static_cast<uint64_t>(queue.capacity()));
+        .value(static_cast<uint64_t>(options.queueDepth));
     json.key("cached_measurements")
         .value(static_cast<uint64_t>(runner.cachedMeasurements()));
     json.endObject();
@@ -176,11 +178,11 @@ LabServer::Impl::serveMeasure(const ServeRequest &req,
     }
 
     // A published key is answered here, on the connection thread,
-    // with the same bytes a worker would send: a memo hit costs far
-    // less than the hand-off to a worker and back. peekCache never
-    // blocks, so a key still being computed falls through to the
-    // queue and coalesces there. A stalled request is load-test work
-    // standing in for an expensive query, so it always queues.
+    // with the same bytes a pool task would send: a memo hit costs
+    // far less than the hand-off to a worker and back. peekCache
+    // never blocks, so a key still being computed falls through to
+    // the queue and coalesces there. A stalled request is load-test
+    // work standing in for an expensive query, so it always queues.
     if (req.stallMs <= 0.0) {
         if (const Measurement *cached = runner.peekCache(
                 resolved.value().config, *resolved.value().benchmark)) {
@@ -197,36 +199,28 @@ LabServer::Impl::serveMeasure(const ServeRequest &req,
     job.req = req;
     job.query = resolved.value();
     job.conn = conn;
-    const double deadline_ms = req.deadlineMs > 0.0
-                                   ? req.deadlineMs
-                                   : options.defaultDeadlineMs;
-    if (deadline_ms > 0.0) {
+    if (req.deadlineMs > 0.0) {
         job.hasDeadline = true;
         job.deadline =
             Clock::now() + std::chrono::microseconds(static_cast<long>(
-                               deadline_ms * 1000.0));
+                               req.deadlineMs * 1000.0));
     }
 
-    if (queue.tryPush(std::move(job))) {
+    if (pool.trySubmit([this, job = std::move(job)] { runJob(job); },
+                       options.queueDepth)) {
         counters.admitted.fetch_add(1);
         return;
     }
 
-    // Queue full, or closed under a racing drain. Only cold or
-    // stalled work gets this far: refuse it, typed.
-    if (queue.closed()) {
-        counters.refusedDraining.fetch_add(1);
-        sendBestEffort(*conn,
-                       errorReplyJson(req.id, ServeStatus::ShuttingDown,
-                                      "daemon is draining"));
-        return;
-    }
+    // Queue full. Only cold or stalled work gets this far: refuse
+    // it, typed.
     counters.overloaded.fetch_add(1);
     sendBestEffort(
         *conn,
         errorReplyJson(req.id, ServeStatus::Overloaded,
                        msgOf("admission queue full (depth ",
-                             queue.capacity(), "); retry with backoff")));
+                             options.queueDepth,
+                             "); retry with backoff")));
 }
 
 void
@@ -306,12 +300,23 @@ LabServer::Impl::connectionLoop(std::shared_ptr<ClientConn> conn)
 }
 
 void
-LabServer::Impl::workerLoop()
+LabServer::Impl::runJob(const Job &job)
 {
-    while (std::optional<Job> popped = queue.pop()) {
-        Job &job = *popped;
+    // Deadline gate one: shed work that expired while queued.
+    if (job.hasDeadline && Clock::now() > job.deadline) {
+        counters.deadlineShed.fetch_add(1);
+        sendBestEffort(*job.conn,
+                       errorReplyJson(job.req.id,
+                                      ServeStatus::DeadlineExceeded,
+                                      "deadline expired in queue; shed"));
+        return;
+    }
 
-        // Deadline gate one: shed work that expired while queued.
+    // Load-test stall: stand in for an expensive query.
+    if (job.req.stallMs > 0.0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(
+            static_cast<long>(job.req.stallMs * 1000.0)));
+        // Deadline gate two: the stall may have consumed it.
         if (job.hasDeadline && Clock::now() > job.deadline) {
             counters.deadlineShed.fetch_add(1);
             sendBestEffort(
@@ -319,38 +324,21 @@ LabServer::Impl::workerLoop()
                 errorReplyJson(job.req.id,
                                ServeStatus::DeadlineExceeded,
                                "deadline expired in queue; shed"));
-            continue;
+            return;
         }
+    }
 
-        // Load-test stall: stand in for an expensive query.
-        if (job.req.stallMs > 0.0) {
-            std::this_thread::sleep_for(std::chrono::microseconds(
-                static_cast<long>(job.req.stallMs * 1000.0)));
-            // Deadline gate two: the stall may have consumed it.
-            if (job.hasDeadline && Clock::now() > job.deadline) {
-                counters.deadlineShed.fetch_add(1);
-                sendBestEffort(
-                    *job.conn,
-                    errorReplyJson(job.req.id,
-                                   ServeStatus::DeadlineExceeded,
-                                   "deadline expired in queue; shed"));
-                continue;
-            }
-        }
-
-        try {
-            const Measurement &m =
-                runner.measure(job.query.config, *job.query.benchmark);
-            counters.served.fetch_add(1);
-            sendBestEffort(*job.conn,
-                           measurementReplyJson(job.req.id, m, false));
-        } catch (const FaultError &err) {
-            counters.internalErrors.fetch_add(1);
-            sendBestEffort(*job.conn,
-                           errorReplyJson(job.req.id,
-                                          ServeStatus::Internal,
-                                          err.what()));
-        }
+    try {
+        const Measurement &m =
+            runner.measure(job.query.config, *job.query.benchmark);
+        counters.served.fetch_add(1);
+        sendBestEffort(*job.conn,
+                       measurementReplyJson(job.req.id, m, false));
+    } catch (const FaultError &err) {
+        counters.internalErrors.fetch_add(1);
+        sendBestEffort(*job.conn,
+                       errorReplyJson(job.req.id, ServeStatus::Internal,
+                                      err.what()));
     }
 }
 
@@ -381,11 +369,6 @@ LabServer::serve()
         return listener.status();
     inform("serve: listening on " + impl->options.socketPath);
 
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(impl->options.workers));
-    for (int i = 0; i < impl->options.workers; ++i)
-        workers.emplace_back([this] { impl->workerLoop(); });
-
     std::vector<std::thread> connThreads;
     while (!impl->draining.load()) {
         if (impl->options.stopFlag != nullptr &&
@@ -413,11 +396,11 @@ LabServer::serve()
     }
 
     // Drain, in order: stop accepting (done — the loop exited), wake
-    // blocked readers so connection threads wind down, stop admitting
-    // (queue.close: new pushes fail, admitted jobs still pop), finish
-    // every admitted job, and only then let the sockets close. The
-    // jobs keep their connections alive via shared_ptr, so replies to
-    // admitted work always reach a writable socket.
+    // blocked readers so connection threads wind down and join them
+    // (they are the only producers, so nothing is admitted after
+    // this), finish every admitted job, and only then let the sockets
+    // close. The jobs keep their connections alive via shared_ptr, so
+    // replies to admitted work always reach a writable socket.
     listener.value().close();
     {
         std::lock_guard<std::mutex> lock(impl->connMutex);
@@ -426,9 +409,7 @@ LabServer::serve()
     }
     for (std::thread &t : connThreads)
         t.join();
-    impl->queue.close();
-    for (std::thread &t : workers)
-        t.join();
+    impl->pool.wait();
     {
         std::lock_guard<std::mutex> lock(impl->connMutex);
         impl->conns.clear();

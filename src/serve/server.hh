@@ -9,14 +9,15 @@
  *    published (and that asks for no load-test stall) is answered
  *    inline on its connection thread from the warm memo cache —
  *    the same bytes a worker would send. Everything else (cold
- *    keys, keys still being computed, stalled requests) passes
- *    through a bounded queue. A full queue NEVER blocks the client:
- *    the daemon sheds with a typed `overloaded` reply. Backpressure
- *    is explicit and observable, not an unbounded buffer.
+ *    keys, keys still being computed, stalled requests) goes onto
+ *    the worker ThreadPool through its bounded, non-blocking
+ *    trySubmit. A full queue NEVER blocks the client: the daemon
+ *    sheds with a typed `overloaded` reply. Backpressure is
+ *    explicit and observable, not an unbounded buffer.
  *
- *  - Deadlines. Each queued request carries (or inherits) a
- *    deadline. Expired work is shed at dequeue — a worker never
- *    spends compute on an answer nobody is waiting for.
+ *  - Deadlines. A queued request may carry a deadline. Expired work
+ *    is shed at dequeue — a worker never spends compute on an
+ *    answer nobody is waiting for.
  *
  *  - Coalescing. Concurrent requests for the same experiment key
  *    share one computation through the runner's per-key call_once
@@ -51,8 +52,7 @@ struct ServeOptions
 {
     std::string socketPath;    ///< Unix-domain socket to listen on
     int workers = 2;           ///< measurement worker threads
-    size_t queueDepth = 32;    ///< admission-queue bound
-    double defaultDeadlineMs = 0.0; ///< applied when a request has none (0 = none)
+    size_t queueDepth = 32;    ///< jobs that may wait for a worker
     size_t maxFrameBytes = 1 << 20; ///< request-frame cap
     /**
      * External drain request (the CLI's signal handlers set it).

@@ -44,50 +44,6 @@ outputFormatExtension(OutputFormat format)
 
 // ---- makeStudy --------------------------------------------------------
 
-namespace
-{
-
-class LambdaStudy : public Study
-{
-  public:
-    LambdaStudy(std::string name, std::string description,
-                std::function<std::vector<MachineConfig>()> grid,
-                std::function<void(Lab &, ReportContext &)> run)
-        : studyName(std::move(name)),
-          studyDescription(std::move(description)),
-          gridFn(std::move(grid)), runFn(std::move(run))
-    {
-    }
-
-    const std::string &name() const override { return studyName; }
-
-    const std::string &
-    description() const override
-    {
-        return studyDescription;
-    }
-
-    std::vector<MachineConfig>
-    grid() const override
-    {
-        return gridFn ? gridFn() : std::vector<MachineConfig>{};
-    }
-
-    void
-    run(Lab &lab, ReportContext &ctx) const override
-    {
-        runFn(lab, ctx);
-    }
-
-  private:
-    std::string studyName;
-    std::string studyDescription;
-    std::function<std::vector<MachineConfig>()> gridFn;
-    std::function<void(Lab &, ReportContext &)> runFn;
-};
-
-} // namespace
-
 std::unique_ptr<Study>
 makeStudy(std::string name, std::string description,
           std::function<std::vector<MachineConfig>()> grid,
@@ -95,9 +51,9 @@ makeStudy(std::string name, std::string description,
 {
     if (!run)
         panic("makeStudy: study '" + name + "' has no run function");
-    return std::make_unique<LambdaStudy>(
-        std::move(name), std::move(description), std::move(grid),
-        std::move(run));
+    return std::make_unique<Study>(std::move(name),
+                                   std::move(description),
+                                   std::move(grid), std::move(run));
 }
 
 // ---- registry ---------------------------------------------------------

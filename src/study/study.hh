@@ -28,6 +28,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/report.hh"
@@ -84,13 +85,20 @@ class ReportContext
 class Study
 {
   public:
-    virtual ~Study() = default;
+    Study(std::string name, std::string description,
+          std::function<std::vector<MachineConfig>()> grid,
+          std::function<void(Lab &, ReportContext &)> run)
+        : studyName(std::move(name)),
+          studyDescription(std::move(description)),
+          gridFn(std::move(grid)), runFn(std::move(run))
+    {
+    }
 
     /** Registry key and artifact basename, e.g. "fig04". */
-    virtual const std::string &name() const = 0;
+    const std::string &name() const { return studyName; }
 
     /** One-line description shown by `lhrlab list`. */
-    virtual const std::string &description() const = 0;
+    const std::string &description() const { return studyDescription; }
 
     /**
      * The machine configurations this study measures through the
@@ -98,13 +106,26 @@ class Study
      * the study's own measurement loop run entirely from cache.
      * Studies whose work bypasses the cache declare an empty grid.
      */
-    virtual std::vector<MachineConfig> grid() const = 0;
+    std::vector<MachineConfig>
+    grid() const
+    {
+        return gridFn ? gridFn() : std::vector<MachineConfig>{};
+    }
 
     /** Compute and report. */
-    virtual void run(Lab &lab, ReportContext &ctx) const = 0;
+    void run(Lab &lab, ReportContext &ctx) const { runFn(lab, ctx); }
+
+  private:
+    std::string studyName;
+    std::string studyDescription;
+    std::function<std::vector<MachineConfig>()> gridFn;
+    std::function<void(Lab &, ReportContext &)> runFn;
 };
 
-/** Build a Study from its parts (the usual registration idiom). */
+/**
+ * Build a Study from its parts (the usual registration idiom);
+ * panics when `run` is empty.
+ */
 std::unique_ptr<Study> makeStudy(
     std::string name, std::string description,
     std::function<std::vector<MachineConfig>()> grid,

@@ -207,8 +207,9 @@ SweepEngine::run(std::vector<MachineConfig> configs,
 
     // Pool tasks take runs of cellsPerTask consecutive cells: a warm
     // (memo-hit) cell costs about as much as handing one task to the
-    // pool, while a run is still short enough for work stealing to
-    // balance Java-on-i7 cells against cheap Atom ones.
+    // pool, while a run is still short enough for idle workers taking
+    // the next task off the FIFO to balance Java-on-i7 cells against
+    // cheap Atom ones.
     constexpr size_t cellsPerTask = 16;
     const size_t tasks = (total + cellsPerTask - 1) / cellsPerTask;
     pool.parallelFor(tasks, [&](size_t task) {

@@ -4,7 +4,7 @@
  *
  * The paper's core artifact is a grid: 45 processor configurations
  * x 61 benchmarks, re-measured after every BIOS-style feature
- * toggle. SweepEngine fans that grid out across a work-stealing
+ * toggle. SweepEngine fans that grid out across the lab's FIFO
  * thread pool (each task measures a short run of consecutive
  * (configuration, benchmark) cells, one measure() call per cell)
  * and produces results bit-identical to a serial run.
@@ -182,7 +182,7 @@ struct SweepReport
 
 /**
  * Runs (configuration, benchmark) grids through an ExperimentRunner
- * on a work-stealing thread pool.
+ * on a FIFO thread pool.
  */
 class SweepEngine
 {

@@ -38,20 +38,16 @@ ThreadPool::ThreadPool(int threads)
     if (threads == 0)
         threads = defaultThreadCount();
 
-    queues.reserve(threads);
-    for (int i = 0; i < threads; ++i)
-        queues.push_back(std::make_unique<WorkerQueue>());
     workers.reserve(threads);
     for (int i = 0; i < threads; ++i)
-        workers.emplace_back(
-            [this, i] { workerLoop(static_cast<size_t>(i)); });
+        workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     drain();
     {
-        std::lock_guard<std::mutex> lock(sleepMutex);
+        std::lock_guard<std::mutex> lock(mutex);
         if (firstError) {
             // A task failed and nobody called wait() to collect the
             // error; surface it rather than swallowing it silently
@@ -67,9 +63,6 @@ ThreadPool::~ThreadPool()
             }
             firstError = nullptr;
         }
-    }
-    {
-        std::lock_guard<std::mutex> lock(sleepMutex);
         shuttingDown = true;
     }
     workAvailable.notify_all();
@@ -80,55 +73,52 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::submit(std::function<void()> task)
 {
-    const size_t slot =
-        nextQueue.fetch_add(1, std::memory_order_relaxed) %
-        queues.size();
     {
-        std::lock_guard<std::mutex> lock(queues[slot]->mutex);
-        queues[slot]->tasks.push_back(std::move(task));
-    }
-    {
-        std::lock_guard<std::mutex> lock(sleepMutex);
-        ++queuedTasks;
+        std::lock_guard<std::mutex> lock(mutex);
+        tasks.push_back(std::move(task));
         ++pendingTasks;
     }
     workAvailable.notify_one();
 }
 
 bool
-ThreadPool::popTask(size_t index, std::function<void()> &task)
+ThreadPool::trySubmit(std::function<void()> task, size_t max_queued)
 {
-    // Own queue first (front: oldest local work), then steal from the
-    // back of the others, starting at the right-hand neighbour so
-    // thieves spread out instead of all raiding worker 0.
-    const size_t n = queues.size();
-    for (size_t k = 0; k < n; ++k) {
-        WorkerQueue &q = *queues[(index + k) % n];
-        std::lock_guard<std::mutex> lock(q.mutex);
-        if (q.tasks.empty())
-            continue;
-        if (k == 0) {
-            task = std::move(q.tasks.front());
-            q.tasks.pop_front();
-        } else {
-            task = std::move(q.tasks.back());
-            q.tasks.pop_back();
-        }
-        return true;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (tasks.size() >= max_queued)
+            return false;
+        tasks.push_back(std::move(task));
+        ++pendingTasks;
     }
-    return false;
+    workAvailable.notify_one();
+    return true;
+}
+
+size_t
+ThreadPool::queued() const
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    return tasks.size();
 }
 
 void
-ThreadPool::workerLoop(size_t index)
+ThreadPool::workerLoop()
 {
     currentPool = this;
     for (;;) {
-        std::function<void()> task;
-        if (popTask(index, task)) {
+        std::exception_ptr error;
+        {
+            std::function<void()> task;
             {
-                std::lock_guard<std::mutex> lock(sleepMutex);
-                --queuedTasks;
+                std::unique_lock<std::mutex> lock(mutex);
+                workAvailable.wait(lock, [this] {
+                    return shuttingDown || !tasks.empty();
+                });
+                if (tasks.empty())
+                    return; // shutting down, nothing left to run
+                task = std::move(tasks.front());
+                tasks.pop_front();
             }
             // A throwing task must neither kill this worker
             // (std::terminate) nor stall the batch: capture the
@@ -137,35 +127,21 @@ ThreadPool::workerLoop(size_t index)
             try {
                 task();
             } catch (...) {
-                std::lock_guard<std::mutex> lock(sleepMutex);
-                if (!firstError)
-                    firstError = std::current_exception();
+                error = std::current_exception();
             }
-            size_t left;
-            {
-                std::lock_guard<std::mutex> lock(sleepMutex);
-                left = --pendingTasks;
-            }
-            if (left == 0)
-                allDone.notify_all();
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(sleepMutex);
-        // queuedTasks can be momentarily stale (another worker popped
-        // but has not decremented yet); the predicate re-checks after
-        // every wakeup, so the worst case is one extra scan.
-        workAvailable.wait(lock, [this] {
-            return shuttingDown || queuedTasks > 0;
-        });
-        if (shuttingDown && queuedTasks == 0)
-            return;
+        } // the task and its captures die before it counts as done
+        std::lock_guard<std::mutex> lock(mutex);
+        if (error && !firstError)
+            firstError = error;
+        if (--pendingTasks == 0)
+            allDone.notify_all();
     }
 }
 
 void
 ThreadPool::drain()
 {
-    std::unique_lock<std::mutex> lock(sleepMutex);
+    std::unique_lock<std::mutex> lock(mutex);
     allDone.wait(lock, [this] { return pendingTasks == 0; });
 }
 
@@ -174,7 +150,7 @@ ThreadPool::wait()
 {
     std::exception_ptr error;
     {
-        std::unique_lock<std::mutex> lock(sleepMutex);
+        std::unique_lock<std::mutex> lock(mutex);
         allDone.wait(lock, [this] { return pendingTasks == 0; });
         error = firstError;
         firstError = nullptr;

@@ -1,15 +1,14 @@
 /**
  * @file
- * A small work-stealing thread pool.
+ * The lab's one worker pool: a fixed set of threads draining one
+ * mutex-guarded FIFO of tasks.
  *
- * Each worker owns a deque of tasks; submission distributes tasks
- * round-robin across the workers, a worker pops from the front of
- * its own deque and, when empty, steals from the back of a
- * neighbour's. The pool exists to fan the (configuration, benchmark)
- * experiment grid out across cores: tasks are coarse (one experiment
- * each, milliseconds of model evaluation), so a mutex per deque is
- * cheap relative to the work and keeps the implementation obviously
- * correct under ThreadSanitizer.
+ * Sweeps hand it runs of cells, pipesim its lanes, and `lhrlab
+ * serve` its cold requests (admitted through the bounded,
+ * non-blocking trySubmit). Every task is coarse — milliseconds of
+ * model evaluation, a simulator lane, or a served request — so one
+ * lock around one deque costs nothing next to the work and keeps the
+ * pool obviously correct under ThreadSanitizer.
  *
  * Determinism contract: the pool schedules work in a nondeterministic
  * order, so anything executed on it must be order-independent. The
@@ -20,13 +19,11 @@
 #ifndef LHR_UTIL_THREAD_POOL_HH
 #define LHR_UTIL_THREAD_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -34,7 +31,7 @@
 namespace lhr
 {
 
-/** A fixed-size work-stealing thread pool. */
+/** A fixed-size FIFO thread pool. */
 class ThreadPool
 {
   public:
@@ -55,6 +52,15 @@ class ThreadPool
     void submit(std::function<void()> task);
 
     /**
+     * Enqueue one task unless `max_queued` tasks are already waiting
+     * for a worker (tasks being run do not count). Never blocks: a
+     * false return is backpressure the caller must handle, not a
+     * condition to wait out. Thread-safe.
+     */
+    [[nodiscard]] bool trySubmit(std::function<void()> task,
+                                 size_t max_queued);
+
+    /**
      * Block until every submitted task has finished, then rethrow
      * the first exception any of them raised (if one did). A
      * throwing task never takes down a worker or loses its
@@ -62,6 +68,9 @@ class ThreadPool
      * pool stays usable after the rethrow.
      */
     void wait();
+
+    /** Tasks waiting for a worker (racy by nature; observability). */
+    [[nodiscard]] size_t queued() const;
 
     /** Number of worker threads. */
     [[nodiscard]] int threadCount() const { return static_cast<int>(workers.size()); }
@@ -84,27 +93,18 @@ class ThreadPool
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 
   private:
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
-    };
-
-    void workerLoop(size_t index);
-    bool popTask(size_t index, std::function<void()> &task);
+    void workerLoop();
     void drain(); ///< wait() without the rethrow (used by ~ThreadPool)
 
-    std::vector<std::unique_ptr<WorkerQueue>> queues;
-    std::vector<std::thread> workers;
-
-    std::mutex sleepMutex;
+    mutable std::mutex mutex;
     std::condition_variable workAvailable;
     std::condition_variable allDone;
-    size_t queuedTasks = 0;    ///< tasks sitting in deques
+    std::deque<std::function<void()>> tasks; ///< waiting for a worker
     size_t pendingTasks = 0;   ///< submitted but not yet finished
-    bool shuttingDown = false; ///< all three guarded by sleepMutex
-    std::exception_ptr firstError; ///< guarded by sleepMutex
-    std::atomic<size_t> nextQueue{0};
+    bool shuttingDown = false;
+    std::exception_ptr firstError; ///< these four guarded by mutex
+
+    std::vector<std::thread> workers; ///< last: they use the above
 };
 
 } // namespace lhr

@@ -2,8 +2,8 @@
  * @file
  * Fixture matrix for lhrlint (tools/lint): one positive and one
  * negative fixture per rule, suppression and allowlist semantics,
- * the nodiscard collection pass, and the CLI exit-code contract
- * driven through the on-disk fixture trees.
+ * and the CLI exit-code contract driven through the on-disk fixture
+ * trees.
  */
 
 #include <gtest/gtest.h>
@@ -114,51 +114,6 @@ TEST(LintRules, FloatCompareNegative)
              "bool g(double x) { return x <= 1.0 || x >= 2.0; }\n"
              "bool h(const S &a, const S &b) { return a.v == b.v; }\n");
     EXPECT_EQ(countRule(findings, "float-compare"), 0u);
-}
-
-TEST(LintRules, NoDiscardPositive)
-{
-    Config config;
-    config.nodiscard.insert("saveToFile");
-    const auto findings = lhrlint::lintText(
-        "src/x.cc",
-        "void f(Store &store) {\n"
-        "    store.saveToFile(\"grid.csv\");\n"
-        "}\n",
-        config);
-    ASSERT_EQ(countRule(findings, "no-discard"), 1u);
-    EXPECT_EQ(findings[0].line, 2);
-}
-
-TEST(LintRules, NoDiscardHandledNegative)
-{
-    Config config;
-    config.nodiscard.insert("saveToFile");
-    config.nodiscard.insert("merge");
-    // Assigned, returned, tested, and explicitly voided results all
-    // count as handled; so does use as a sub-expression.
-    const auto findings = lhrlint::lintText(
-        "src/x.cc",
-        "Status f(Store &s) {\n"
-        "    const Status saved = s.saveToFile(\"a\");\n"
-        "    if (!s.merge(other).ok()) return saved;\n"
-        "    (void)s.saveToFile(\"b\"); // best effort\n"
-        "    return s.merge(other);\n"
-        "}\n",
-        config);
-    EXPECT_EQ(countRule(findings, "no-discard"), 0u);
-}
-
-TEST(LintRules, NoDiscardQualifiedChains)
-{
-    Config config;
-    config.nodiscard.insert("tryLoadFile");
-    const auto findings = lhrlint::lintText(
-        "src/x.cc",
-        "void f() { lhr::ResultStore::tryLoadFile(\"grid.csv\"); }\n"
-        "void g(Store *s) { s->parent()->tryLoadFile(\"x\"); }\n",
-        config);
-    EXPECT_EQ(countRule(findings, "no-discard"), 2u);
 }
 
 TEST(LintRules, HeaderGuardPositive)
@@ -293,38 +248,6 @@ TEST(LintAllowlist, EntriesRequireJustificationAndKnownRule)
     EXPECT_EQ(config.allow.size(), 1u);
 }
 
-TEST(LintCollect, FindsStatusAndExpectedDeclarations)
-{
-    std::set<std::string> names;
-    lhrlint::collectNodiscard(
-        "class X {\n"
-        "  Status merge(const X &other);\n"
-        "  [[nodiscard]] static Expected<X> tryLoad(std::istream &is);\n"
-        "  Expected<std::vector<int>> parseAll(const std::string &s);\n"
-        "  const Status &status() const;\n"
-        "};\n"
-        "Status freeSave(const std::string &path);\n",
-        names);
-    EXPECT_TRUE(names.count("merge"));
-    EXPECT_TRUE(names.count("tryLoad"));
-    EXPECT_TRUE(names.count("parseAll"));
-    EXPECT_TRUE(names.count("status"));
-    EXPECT_TRUE(names.count("freeSave"));
-}
-
-TEST(LintCollect, IgnoresNonDeclarations)
-{
-    std::set<std::string> names;
-    lhrlint::collectNodiscard(
-        "Status saved = s.save(os);\n"       // variable, not function
-        "void f(Status incoming);\n"         // parameter
-        "enum class StatusCode { Ok };\n"    // different identifier
-        "Expected value;\n"                  // no template args
-        "// Status comment(int);\n",         // comment
-        names);
-    EXPECT_TRUE(names.empty());
-}
-
 TEST(LintViews, StringsAndCommentsAreBlind)
 {
     // Rule needles inside comments, strings, and raw strings never
@@ -349,9 +272,8 @@ TEST(LintCli, ExitCodesOverFixtureTrees)
     EXPECT_EQ(lhrlint::runLhrlint({fixtures + "/dirty"}, dirtyOut, err),
               1);
     for (const char *rule :
-         {"no-discard", "det-random", "det-clock", "det-unordered",
-          "float-compare", "header-guard", "using-namespace-header",
-          "bare-allow"})
+         {"det-random", "det-clock", "det-unordered", "float-compare",
+          "header-guard", "using-namespace-header", "bare-allow"})
         EXPECT_NE(dirtyOut.str().find(rule), std::string::npos) << rule;
 
     // Clean tree with its allowlist: exit 0, no output.
@@ -378,7 +300,7 @@ TEST(LintCli, ExitCodesOverFixtureTrees)
     // --list-rules prints the catalog and exits 0.
     std::ostringstream rules;
     EXPECT_EQ(lhrlint::runLhrlint({"--list-rules"}, rules, err), 0);
-    EXPECT_NE(rules.str().find("no-discard"), std::string::npos);
+    EXPECT_NE(rules.str().find("det-unordered"), std::string::npos);
 }
 
 TEST(LintFinding, CanonicalRendering)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the lab-as-a-service layer: the bounded admission
- * queue, the framed local-socket transport, the wire protocol, and
+ * Tests for the lab-as-a-service layer: the worker pool's bounded
+ * admission, the framed local-socket transport, the wire protocol, and
  * the daemon's overload behaviour — warm keys answered inline,
  * backpressure without blocking, deadline shedding, request
  * coalescing, typed errors for malformed frames, and a clean drain
@@ -26,9 +26,9 @@
 #include "serve/loadgen.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
-#include "util/bounded_queue.hh"
 #include "util/json.hh"
 #include "util/net.hh"
+#include "util/thread_pool.hh"
 
 namespace lhr
 {
@@ -158,48 +158,54 @@ measureRequest(long id, const std::string &proc,
 } // namespace
 
 // ---------------------------------------------------------------
-// BoundedQueue
+// ThreadPool admission (trySubmit)
 
-TEST(BoundedQueue, TryPushOnFullQueueFailsWithoutBlocking)
+TEST(ThreadPool, TrySubmitRefusesAtTheLimitWithoutBlocking)
 {
-    BoundedQueue<int> queue(2);
-    EXPECT_TRUE(queue.tryPush(1));
-    EXPECT_TRUE(queue.tryPush(2));
-
-    const Clock::time_point before = Clock::now();
-    EXPECT_FALSE(queue.tryPush(3));
-    // Backpressure must be immediate: a full queue answers "no" in
-    // microseconds, it never waits for a consumer.
-    EXPECT_LT(msSince(before), 100.0);
-    EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(BoundedQueue, PopDrainsAdmittedItemsAfterClose)
-{
-    BoundedQueue<int> queue(4);
-    EXPECT_TRUE(queue.tryPush(1));
-    EXPECT_TRUE(queue.tryPush(2));
-    queue.close();
-
-    EXPECT_FALSE(queue.tryPush(3)); // closed: no new admissions
-    // ...but admitted items still drain, in order.
-    EXPECT_EQ(queue.pop().value_or(-1), 1);
-    EXPECT_EQ(queue.pop().value_or(-1), 2);
-    EXPECT_FALSE(queue.pop().has_value()); // drained and closed
-}
-
-TEST(BoundedQueue, CloseWakesBlockedConsumers)
-{
-    BoundedQueue<int> queue(4);
-    std::atomic<bool> woke{false};
-    std::thread consumer([&queue, &woke] {
-        EXPECT_FALSE(queue.pop().has_value());
-        woke.store(true);
+    ThreadPool pool(1);
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    pool.submit([&] {
+        started.store(true);
+        while (!release.load())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    queue.close();
-    consumer.join();
-    EXPECT_TRUE(woke.load());
+    // Only tasks still waiting for a worker count against the limit.
+    while (!started.load())
+        std::this_thread::yield();
+
+    EXPECT_TRUE(pool.trySubmit([] {}, 2));
+    EXPECT_TRUE(pool.trySubmit([] {}, 2));
+    const Clock::time_point before = Clock::now();
+    EXPECT_FALSE(pool.trySubmit([] {}, 2));
+    // Backpressure must be immediate: a full queue answers "no" in
+    // microseconds, it never waits for the busy worker.
+    EXPECT_LT(msSince(before), 100.0);
+    EXPECT_EQ(pool.queued(), 2u);
+
+    release.store(true);
+    pool.wait();
+    EXPECT_EQ(pool.queued(), 0u);
+}
+
+TEST(ThreadPool, AdmittedTasksAllRunBeforeWaitReturns)
+{
+    ThreadPool pool(2);
+    std::atomic<int> ran{0};
+    int admitted = 0;
+    for (int i = 0; i < 64; ++i) {
+        if (pool.trySubmit(
+                [&ran] {
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(200));
+                    ran.fetch_add(1);
+                },
+                8))
+            ++admitted;
+    }
+    pool.wait();
+    EXPECT_GE(admitted, 8);
+    EXPECT_EQ(ran.load(), admitted);
 }
 
 // ---------------------------------------------------------------

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the work-stealing thread pool, the concurrency-safe
+ * Tests for the FIFO thread pool, the concurrency-safe
  * experiment runner, and the parallel sweep engine's determinism
  * contract: a parallel sweep must produce bit-identical Measurements
  * to a serial run, whatever the thread count or interleaving. The

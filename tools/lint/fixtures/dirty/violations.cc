@@ -1,6 +1,5 @@
-// Injected-violation fixture body: discarded Status results, every
-// determinism sin at once, a raw float compare, and a bare
-// suppression without a justification.
+// Injected-violation fixture body: every determinism sin at once, a
+// raw float compare, and a bare suppression without a justification.
 
 #include <chrono>
 #include <cstdlib>
@@ -28,11 +27,4 @@ entropySoup()
                    std::chrono::steady_clock::now() - t0)
                    .count();
     return sum;  // lhrlint:allow(det-clock)
-}
-
-void
-discardEverything()
-{
-    saveEverything("grid.csv");            // no-discard
-    mergeStores("a.csv", "b.csv");         // no-discard
 }

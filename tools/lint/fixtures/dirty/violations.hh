@@ -1,17 +1,8 @@
-// Injected-violation fixture: a header with no include guard, a
-// leaked namespace, and a Status-returning API whose results the
-// .cc file discards. Every line here exists to keep lhrlint honest —
+// Injected-violation fixture: a header with no include guard and a
+// leaked namespace. Every line here exists to keep lhrlint honest —
 // the lhrlint_fixture_dirty ctest (and the CI lint job) require a
 // nonzero exit on this tree.
 
 #include <string>
 
 using namespace std;
-
-struct Status
-{
-    bool ok() const { return true; }
-};
-
-Status saveEverything(const string &path);
-Status mergeStores(const string &a, const string &b);

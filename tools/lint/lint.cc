@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 namespace lhrlint
@@ -15,9 +16,9 @@ namespace
 {
 
 const char *const ruleIds[] = {
-    "no-discard",   "det-random",   "det-clock",
-    "det-unordered", "float-compare", "header-guard",
-    "using-namespace-header", "bare-allow",
+    "det-random",   "det-clock",    "det-unordered",
+    "float-compare", "header-guard", "using-namespace-header",
+    "bare-allow",
 };
 
 bool
@@ -300,98 +301,6 @@ scanFloatCompare(const SourceViews &views, const std::string &path,
                      "intent via util/fp.hh (nearlyEqual, exactZero, "
                      "exactlyEqual)"});
         }
-    }
-}
-
-/**
- * Expression-statements that call a must-not-discard function and
- * drop the result. Statement starts are positions after ';', '{',
- * '}' (plus file start and an `else`/`do` prefix); at each start we
- * try to parse `name(`, `obj.name(`, `ns::name(`, `p->name(` chains
- * followed by a balanced argument list and a ';'. `return f(...);`,
- * `x = f(...);` and `(void)f(...);` all fail the parse, which is
- * the point. Single-statement if-bodies without braces are the one
- * blind spot; -Werror=unused-result covers those at compile time.
- */
-void
-scanNoDiscard(const SourceViews &views,
-              const std::set<std::string> &nodiscard,
-              const std::string &path, std::vector<Finding> &out)
-{
-    if (nodiscard.empty())
-        return;
-    const std::string &code = views.code;
-
-    auto tryStatement = [&](size_t start) {
-        size_t i = skipWs(code, start);
-        // Skip statement-prefix keywords that may precede a call.
-        for (;;) {
-            const std::string kw = identAt(code, i);
-            if (kw == "else" || kw == "do")
-                i = skipWs(code, i + kw.size());
-            else
-                break;
-        }
-        // Parse a qualifier chain ending in name(. A completed call
-        // followed by '.' or '->' continues the chain through the
-        // call's return value (p->parent()->save(...)), so only the
-        // last call of the chain is the one whose result can die.
-        size_t namePos = i;
-        for (;;) {
-            const std::string name = identAt(code, i);
-            if (name.empty())
-                return;
-            namePos = i;
-            size_t k = skipWs(code, i + name.size());
-            if (k >= code.size())
-                return;
-            if (code[k] == '(') {
-                // Balanced argument list, then look past it.
-                int depth = 0;
-                size_t j = k;
-                for (; j < code.size(); ++j) {
-                    if (code[j] == '(')
-                        ++depth;
-                    else if (code[j] == ')' && --depth == 0)
-                        break;
-                }
-                if (j >= code.size())
-                    return;
-                const size_t after = skipWs(code, j + 1);
-                if (code.compare(after, 2, "->") == 0) {
-                    i = skipWs(code, after + 2);
-                    continue;
-                }
-                if (after < code.size() && code[after] == '.') {
-                    i = skipWs(code, after + 1);
-                    continue;
-                }
-                // ';' straight after the final call: the value died.
-                if (after < code.size() && code[after] == ';' &&
-                    nodiscard.count(name) != 0) {
-                    out.push_back(
-                        {path, views.lineAt(namePos), "no-discard",
-                         "result of '" + name +
-                             "' (returns Status/Expected) is "
-                             "discarded; propagate it, log it, or "
-                             "cast to (void) with a comment"});
-                }
-                return;
-            }
-            if (code.compare(k, 2, "::") == 0 ||
-                code.compare(k, 2, "->") == 0)
-                i = skipWs(code, k + 2);
-            else if (code[k] == '.')
-                i = skipWs(code, k + 1);
-            else
-                return;
-        }
-    };
-
-    tryStatement(0);
-    for (size_t i = 0; i < code.size(); ++i) {
-        if (code[i] == ';' || code[i] == '{' || code[i] == '}')
-            tryStatement(i + 1);
     }
 }
 
@@ -694,50 +603,6 @@ makeViews(const std::string &text)
     return views;
 }
 
-void
-collectNodiscard(const std::string &text, std::set<std::string> &out)
-{
-    const SourceViews views = makeViews(text);
-    const std::string &code = views.code;
-    for (size_t i = 0; i < code.size();) {
-        if (!isIdentChar(code[i]) ||
-            std::isdigit(static_cast<unsigned char>(code[i]))) {
-            ++i;
-            continue;
-        }
-        const std::string ident = identAt(code, i);
-        const size_t identEnd = i + ident.size();
-        i = identEnd;
-        if (ident != "Status" && ident != "Expected")
-            continue;
-        size_t k = skipWs(code, identEnd);
-        if (ident == "Expected") {
-            // Skip the <...> template argument list.
-            if (k >= code.size() || code[k] != '<')
-                continue;
-            int depth = 0;
-            for (; k < code.size(); ++k) {
-                if (code[k] == '<')
-                    ++depth;
-                else if (code[k] == '>' && --depth == 0) {
-                    ++k;
-                    break;
-                }
-            }
-            k = skipWs(code, k);
-        }
-        // Reference/pointer return decorations.
-        while (k < code.size() && (code[k] == '&' || code[k] == '*'))
-            k = skipWs(code, k + 1);
-        const std::string name = identAt(code, k);
-        if (name.empty() || name == "operator")
-            continue;
-        const size_t after = skipWs(code, k + name.size());
-        if (after < code.size() && code[after] == '(')
-            out.insert(name);
-    }
-}
-
 std::vector<Finding>
 lintText(const std::string &path, const std::string &text,
          const Config &config)
@@ -750,7 +615,6 @@ lintText(const std::string &path, const std::string &text,
     std::vector<Finding> raw;
     scanDeterminism(views, rawLines, path, raw);
     scanFloatCompare(views, path, raw);
-    scanNoDiscard(views, config.nodiscard, path, raw);
     scanHeaderRules(views, rawLines, path, raw);
 
     std::vector<Finding> bare;
@@ -807,7 +671,7 @@ parseAllowlist(const std::string &path, const std::string &text,
 }
 
 std::vector<Finding>
-lintPaths(const std::vector<std::string> &roots, Config config,
+lintPaths(const std::vector<std::string> &roots, const Config &config,
           std::string *error)
 {
     namespace fs = std::filesystem;
@@ -835,25 +699,17 @@ lintPaths(const std::vector<std::string> &roots, Config config,
     std::sort(files.begin(), files.end());
     files.erase(std::unique(files.begin(), files.end()), files.end());
 
-    // Pass 1: gather the Status/Expected API surface.
-    std::vector<std::pair<std::string, std::string>> contents;
-    contents.reserve(files.size());
+    std::vector<Finding> findings;
     for (const std::string &file : files) {
         bool ok = false;
-        std::string text = readFileOrEmpty(file, &ok);
+        const std::string text = readFileOrEmpty(file, &ok);
         if (!ok) {
             if (error)
                 *error = "lhrlint: cannot read '" + file + "'";
             return {};
         }
-        collectNodiscard(text, config.nodiscard);
-        contents.emplace_back(normalizePath(file), std::move(text));
-    }
-
-    // Pass 2: lint.
-    std::vector<Finding> findings;
-    for (const auto &[file, text] : contents) {
-        std::vector<Finding> fs2 = lintText(file, text, config);
+        std::vector<Finding> fs2 =
+            lintText(normalizePath(file), text, config);
         findings.insert(findings.end(),
                         std::make_move_iterator(fs2.begin()),
                         std::make_move_iterator(fs2.end()));
@@ -923,7 +779,7 @@ runLhrlint(const std::vector<std::string> &args, std::ostream &out,
 
     std::string error;
     std::vector<Finding> findings =
-        lintPaths(roots, std::move(config), &error);
+        lintPaths(roots, config, &error);
     if (!error.empty()) {
         err << error << "\n";
         return 2;

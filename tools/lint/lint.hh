@@ -3,17 +3,18 @@
  * lhrlint — the repo's project-invariant static analyzer.
  *
  * A token-level C++ scanner (no libclang) that enforces the written
- * determinism and error-discipline contracts of this laboratory as
- * named, suppressible rules. The golden-hash tests and sanitizer CI
- * jobs catch these bug classes *dynamically* when a test happens to
+ * determinism and header contracts of this laboratory as named,
+ * suppressible rules. The golden-hash tests and sanitizer CI jobs
+ * catch these bug classes *dynamically* when a test happens to
  * sample them; lhrlint catches them at lint time, before a stray
- * wall-clock read or a silently discarded Status ever reaches a
- * thousand-node sweep.
+ * wall-clock read ever reaches a thousand-node sweep. A silently
+ * discarded Status is the compiler's job, not lhrlint's:
+ * `class [[nodiscard]] Status` / `Expected` plus
+ * -Werror=unused-result make it a compile error (ctest
+ * `discarded_status_fails_to_compile` keeps that true).
  *
  * Rule catalog (see DESIGN.md §10 for the policy discussion):
  *
- *   no-discard        call to a Status/Expected-returning function
- *                     whose result is ignored as a whole statement
  *   det-random        rand()/srand()/std::random_device and friends
  *                     (randomness must come from util/rng, seeded by
  *                     the experiment key)
@@ -56,7 +57,6 @@
 #define LHRLINT_LINT_HH
 
 #include <iosfwd>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -87,13 +87,6 @@ struct Config
 {
     /** File/directory-scoped suppressions (lhrlint.allow). */
     std::vector<AllowEntry> allow;
-
-    /**
-     * Functions whose return value must not be discarded. Seeded by
-     * collectNodiscard() scanning the tree for Status/Expected<T>
-     * declarations before any file is linted.
-     */
-    std::set<std::string> nodiscard;
 };
 
 /** Every rule id, in catalog order. */
@@ -121,16 +114,6 @@ struct SourceViews
 SourceViews makeViews(const std::string &text);
 
 /**
- * First pass: record every function declared or defined with a
- * Status or Expected<T> return type in `text` into `out`. Matching
- * is by name (a token scanner has no overload resolution), which is
- * exactly as precise as the repo's naming discipline — and a false
- * positive is one justified suppression away.
- */
-void collectNodiscard(const std::string &text,
-                      std::set<std::string> &out);
-
-/**
  * Lint one file's contents. `path` is the relative path used in
  * findings and matched against the allowlist. Inline suppressions
  * and the config allowlist are already applied; bare-allow findings
@@ -156,12 +139,12 @@ void parseAllowlist(const std::string &path, const std::string &text,
 
 /**
  * Walk `roots` (files or directories; directories recurse over
- * .cc/.hh/.h/.inl), run the nodiscard collection pass, lint every
- * file, and return the findings sorted by (file, line, rule).
- * On an unreadable path, sets *error and returns empty.
+ * .cc/.hh/.h/.inl), lint every file, and return the findings
+ * sorted by (file, line, rule). On an unreadable path, sets *error
+ * and returns empty.
  */
 std::vector<Finding> lintPaths(const std::vector<std::string> &roots,
-                               Config config, std::string *error);
+                               const Config &config, std::string *error);
 
 /**
  * The lhrlint CLI: `lhrlint [--allowlist FILE] [--list-rules] PATH...`.
