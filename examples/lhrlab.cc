@@ -16,10 +16,10 @@
  *   --format text|csv|json   --out DIR   --jobs N   --no-prewarm
  * Options for measure/aggregate:
  *   --cores N   --smt on|off   --clock GHZ   --turbo on|off
- * Global options (before the command):
- *   --seed N             experiment seed (also: LHR_SEED env)
+ * Global options (before the command), passed to every Lab it builds:
+ *   --seed N             experiment seed (default 0xC0FFEE)
  *   --sensor hall|rapl   force the measurement backend of every rig
- *                        (also: LHR_SENSOR env; default per era)
+ *                        (default per era, see `processors`)
  *
  * Examples:
  *   lhrlab run fig04 --format=json
@@ -63,12 +63,17 @@
 namespace
 {
 
+/** The global --seed and --sensor: every Lab this command builds. */
+uint64_t gSeed = lhr::builtinSeed;
+std::optional<lhr::SensorBackend> gSensor;
+
 void
 usage(std::ostream &os)
 {
     os <<
         "usage: lhrlab [--seed N] [--sensor hall|rapl] <command> "
         "[args]\n"
+        "  (--seed default 0xC0FFEE; --sensor default per era)\n"
         "  list [--names]\n"
         "  run <study>... | run --all  [--format text|csv|json]\n"
         "      [--out DIR] [--jobs N] [--no-prewarm]\n"
@@ -104,7 +109,6 @@ usageError(const std::string &message)
     std::exit(2);
 }
 
-/** Apply --cores/--smt/--clock/--turbo options to a config. */
 const lhr::ProcessorSpec &
 procArg(const std::string &id)
 {
@@ -125,10 +129,22 @@ benchArg(const std::string &name)
     return *found;
 }
 
+/**
+ * Parse --cores/--smt/--clock/--turbo into a config of `spec`: bad
+ * flag syntax exits 2 here; a knob the part cannot take is refused
+ * by resolveConfig(), the serve protocol's validator (exit 1).
+ */
 lhr::MachineConfig
-applyOptions(lhr::MachineConfig cfg,
+applyOptions(const lhr::ProcessorSpec &spec,
              const std::vector<std::string> &args, size_t first)
 {
+    auto onOff = [](const std::string &opt, const std::string &value) {
+        if (value != "on" && value != "off")
+            usageError(opt + " takes on|off, got '" + value + "'");
+        return value == "on";
+    };
+    lhr::ServeRequest knobs;
+    knobs.proc = spec.id;
     for (size_t i = first; i < args.size(); i += 2) {
         if (i + 1 >= args.size())
             usageError("option " + args[i] + " needs a value");
@@ -136,43 +152,30 @@ applyOptions(lhr::MachineConfig cfg,
         const std::string &value = args[i + 1];
         if (opt == "--cores") {
             const lhr::Expected<long> cores =
-                lhr::parseInt(value, 1, cfg.spec->cores);
+                lhr::parseInt(value, 1, spec.cores);
             if (!cores.ok())
                 usageError("--cores must be 1.." +
-                           std::to_string(cfg.spec->cores) + " for " +
-                           cfg.spec->id + ": " +
-                           cores.status().message());
-            cfg = lhr::withCores(cfg, static_cast<int>(cores.value()));
+                           std::to_string(spec.cores) + " for " +
+                           spec.id + ": " + cores.status().message());
+            knobs.cores = static_cast<int>(cores.value());
         } else if (opt == "--smt") {
-            if (value != "on" && value != "off")
-                usageError("--smt takes on|off, got '" + value + "'");
-            if (value == "on" && cfg.spec->smtWays < 2)
-                lhr::fatal(cfg.spec->id + " has no SMT");
-            cfg = lhr::withSmt(cfg, value == "on");
+            knobs.smt = onOff(opt, value);
         } else if (opt == "--clock") {
             const lhr::Expected<double> clock = lhr::parseReal(value);
             if (!clock.ok())
                 usageError("--clock: " + clock.status().message());
-            if (clock.value() < cfg.spec->fMinGhz ||
-                clock.value() > cfg.spec->stockClockGhz) {
-                lhr::fatal("--clock must be within " +
-                           lhr::formatFixed(cfg.spec->fMinGhz, 2) +
-                           ".." +
-                           lhr::formatFixed(cfg.spec->stockClockGhz, 2) +
-                           " GHz for " + cfg.spec->id);
-            }
-            cfg = lhr::withClock(cfg, clock.value());
+            knobs.clockGhz = clock.value();
         } else if (opt == "--turbo") {
-            if (value != "on" && value != "off")
-                usageError("--turbo takes on|off, got '" + value + "'");
-            if (value == "on" && !cfg.spec->hasTurbo)
-                lhr::fatal(cfg.spec->id + " has no Turbo Boost");
-            cfg = lhr::withTurbo(cfg, value == "on");
+            knobs.turbo = onOff(opt, value);
         } else {
             usageError("unknown option " + opt);
         }
     }
-    return cfg;
+    const lhr::Expected<lhr::MachineConfig> cfg =
+        lhr::resolveConfig(knobs);
+    if (!cfg.ok())
+        lhr::fatal(cfg.status().message());
+    return cfg.value();
 }
 
 int
@@ -198,8 +201,8 @@ cmdProcessors()
         table.cell(lhr::msgOf(spec.cores, "C", spec.smtWays, "T"));
         table.cell(spec.stockClockGhz, 2);
         table.cell(spec.tdpW, 0);
-        table.cell(
-            lhr::sensorBackendName(lhr::defaultSensorBackend(spec)));
+        table.cell(lhr::sensorBackendName(
+            gSensor.value_or(lhr::defaultSensorBackend(spec))));
     };
     for (const auto &spec : lhr::allProcessors())
         row(spec);
@@ -261,12 +264,10 @@ cmdMeasure(const std::vector<std::string> &args)
 {
     if (args.size() < 4)
         lhr::fatal("measure needs <proc-id> <bench>");
-    auto cfg =
-        applyOptions(lhr::stockConfig(procArg(args[2])),
-                     args, 4);
+    auto cfg = applyOptions(procArg(args[2]), args, 4);
     const auto &bench = benchArg(args[3]);
 
-    lhr::Lab lab;
+    lhr::Lab lab(gSeed, gSensor);
     const auto &m = lab.measure(cfg, bench);
     const auto r = lab.result(cfg, bench);
     std::cout << bench.name << " on " << cfg.label() << ":\n"
@@ -289,10 +290,8 @@ cmdAggregate(const std::vector<std::string> &args)
 {
     if (args.size() < 3)
         lhr::fatal("aggregate needs <proc-id>");
-    auto cfg =
-        applyOptions(lhr::stockConfig(procArg(args[2])),
-                     args, 3);
-    lhr::Lab lab;
+    auto cfg = applyOptions(procArg(args[2]), args, 3);
+    lhr::Lab lab(gSeed, gSensor);
     const auto agg = lab.aggregate(cfg);
     lhr::TableWriter table;
     table.addColumn("", lhr::TableWriter::Align::Left);
@@ -354,7 +353,7 @@ cmdRate(const std::vector<std::string> &args)
 {
     if (args.size() < 4)
         lhr::fatal("rate needs <proc-id> <bench>");
-    lhr::Lab lab;
+    lhr::Lab lab(gSeed, gSensor);
     lhr::RateRunner rate(lab.runner());
     auto cfg = lhr::stockConfig(procArg(args[2]));
     if (cfg.spec->hasTurbo)
@@ -386,7 +385,7 @@ cmdCorun(const std::vector<std::string> &args)
 {
     if (args.size() < 5)
         lhr::fatal("corun needs <proc-id> <bench-a> <bench-b>");
-    lhr::Lab lab;
+    lhr::Lab lab(gSeed, gSensor);
     lhr::CoRunner corunner(lab.runner());
     auto cfg = lhr::stockConfig(procArg(args[2]));
     if (cfg.spec->hasTurbo)
@@ -519,7 +518,7 @@ cmdSnapshot(const std::vector<std::string> &args)
     installStopHandlers();
     options.stopFlag = &gStopRequested;
 
-    lhr::Lab lab;
+    lhr::Lab lab(gSeed, gSensor);
     // Snapshot through the parallel sweep engine: bit-identical to
     // a serial sweep, but grid cells fan out across cores (thread
     // count via LHR_THREADS).
@@ -688,7 +687,7 @@ cmdServe(const std::vector<std::string> &args)
     installStopHandlers();
     options.stopFlag = &gStopRequested;
 
-    lhr::Lab lab;
+    lhr::Lab lab(gSeed, gSensor);
     lhr::LabServer server(lab.runner(), options);
     const lhr::Status status = server.serve();
     if (!status.ok())
@@ -887,14 +886,12 @@ main(int argc, char **argv)
             if (!seed)
                 usageError("malformed --seed '" + args[first + 1] +
                            "'");
-            lhr::setSeedOverride(seed);
+            gSeed = *seed;
         } else {
-            const auto backend =
-                lhr::parseSensorBackend(args[first + 1]);
-            if (!backend)
+            gSensor = lhr::parseSensorBackend(args[first + 1]);
+            if (!gSensor)
                 usageError("--sensor takes hall|rapl, got '" +
                            args[first + 1] + "'");
-            lhr::setSensorBackendOverride(backend);
         }
         args.erase(args.begin() + first, args.begin() + first + 2);
     }
@@ -915,7 +912,8 @@ main(int argc, char **argv)
     }
     if (command == "run") {
         return lhr::runStudyCommand(
-            std::vector<std::string>(args.begin() + 2, args.end()));
+            std::vector<std::string>(args.begin() + 2, args.end()),
+            gSeed, gSensor);
     }
     if (command == "processors")
         return cmdProcessors();

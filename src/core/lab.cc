@@ -8,8 +8,8 @@
 namespace lhr
 {
 
-Lab::Lab(uint64_t seed)
-    : labSeed(seed), experimentRunner(seed)
+Lab::Lab(uint64_t seed, std::optional<SensorBackend> sensor)
+    : labSeed(seed), experimentRunner(seed, sensor)
 {
 }
 

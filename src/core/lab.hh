@@ -12,7 +12,8 @@
  *   auto agg = lab.aggregate(cfg);   // Table 4 row
  *   auto m = lab.measure(cfg, lhr::benchmarkByName("mcf"));
  *
- * Everything is deterministic for a given seed.
+ * Everything is deterministic for a given seed and sensor backend,
+ * both fixed when the Lab is constructed.
  */
 
 #ifndef LHR_CORE_LAB_HH
@@ -20,6 +21,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "analysis/features.hh"
 #include "analysis/historical.hh"
@@ -37,7 +39,9 @@ namespace lhr
 class Lab
 {
   public:
-    explicit Lab(uint64_t seed = defaultSeed());
+    /** See ExperimentRunner::ExperimentRunner for the two inputs. */
+    explicit Lab(uint64_t seed = builtinSeed,
+                 std::optional<SensorBackend> sensor = std::nullopt);
 
     Lab(const Lab &) = delete;
     Lab &operator=(const Lab &) = delete;
@@ -82,7 +86,7 @@ class Lab
                  SweepOptions options = {});
 
   private:
-    uint64_t labSeed;
+    const uint64_t labSeed;
     ExperimentRunner experimentRunner;
     std::once_flag referenceOnce;
     std::unique_ptr<ReferenceSet> referenceSet;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <utility>
 
 #include "jvm/jvm_model.hh"
@@ -118,8 +117,9 @@ drawInvocation(const Benchmark &bench, const ExecutionProfile &prof,
 
 } // namespace
 
-ExperimentRunner::ExperimentRunner(uint64_t seed)
-    : baseSeed(seed)
+ExperimentRunner::ExperimentRunner(uint64_t seed,
+                                   std::optional<SensorBackend> sensor)
+    : baseSeed(seed), sensorChoice(sensor)
 {
 }
 
@@ -150,94 +150,57 @@ ExperimentRunner::setMeasurementPolicy(const MeasurementPolicy &pol)
 }
 
 /**
- * Find-or-create the spec's slot under specMutex, then build its
- * value exactly once outside that lock. Concurrent callers for the
- * same spec block on the slot's once_flag, not on each other's
- * builds for different specs.
+ * Find-or-create the spec's slot under specMutex, then build it
+ * exactly once outside that lock. Concurrent callers for the same
+ * spec block on the slot's once_flag, not on each other's builds
+ * for different specs.
  */
-template <typename T, typename Build>
-const T &
-ExperimentRunner::specOnce(SpecSlotMap<T> &map,
-                           const ProcessorSpec &spec, Build &&build)
+const ExperimentRunner::SpecSlot &
+ExperimentRunner::specSlot(const ProcessorSpec &spec)
 {
-    OnceSlot<T> *slot;
+    SpecSlot *slot;
     {
         std::lock_guard<std::mutex> lock(specMutex);
-        auto &owned = map[&spec];
+        auto &owned = specSlots[&spec];
         if (!owned)
-            owned = std::make_unique<OnceSlot<T>>();
+            owned = std::make_unique<SpecSlot>();
         slot = owned.get();
     }
-    std::call_once(slot->once, [&] { build(slot->value); });
-    return slot->value;
+    std::call_once(slot->once, [&] {
+        slot->perf = std::make_unique<PerfModel>(spec);
+        slot->power = std::make_unique<ChipPowerModel>(spec);
+        slot->sensor = makeSensor(
+            sensorChoice.value_or(defaultSensorBackend(spec)), spec,
+            baseSeed);
+    });
+    return *slot;
 }
 
 const PerfModel &
 ExperimentRunner::perfModel(const ProcessorSpec &spec)
 {
-    return *specOnce(perfModels, spec,
-                     [&](std::unique_ptr<PerfModel> &value) {
-                         value = std::make_unique<PerfModel>(spec);
-                     });
+    return *specSlot(spec).perf;
 }
 
 const ChipPowerModel &
 ExperimentRunner::powerModel(const ProcessorSpec &spec)
 {
-    return *specOnce(powerModels, spec,
-                     [&](std::unique_ptr<ChipPowerModel> &value) {
-                         value = std::make_unique<ChipPowerModel>(spec);
-                     });
-}
-
-const ExperimentRunner::Rig &
-ExperimentRunner::rig(const ProcessorSpec &spec)
-{
-    return specOnce(rigs, spec, [&](Rig &value) {
-        const SensorBackend backend =
-            backendChoice ? *backendChoice : defaultSensorBackend(spec);
-        value.sensor = makeSensor(backend, spec, baseSeed);
-    });
-}
-
-const Calibration &
-ExperimentRunner::calibration(const ProcessorSpec &spec)
-{
-    const PowerSensor &s = *rig(spec).sensor;
-    const Calibration *calib = s.calibration();
-    if (calib == nullptr) {
-        panic(msgOf("ExperimentRunner::calibration: the '",
-                    sensorBackendName(s.backend()), "' rig of '",
-                    spec.id, "' decodes without a calibration"));
-    }
-    return *calib;
+    return *specSlot(spec).power;
 }
 
 const PowerSensor &
 ExperimentRunner::sensor(const ProcessorSpec &spec)
 {
-    return *rig(spec).sensor;
-}
-
-void
-ExperimentRunner::setSensorBackend(std::optional<SensorBackend> backend)
-{
-    {
-        std::lock_guard<std::mutex> lock(specMutex);
-        if (!rigs.empty()) {
-            panic("ExperimentRunner::setSensorBackend: rigs built "
-                  "under the previous backend already exist");
-        }
-    }
-    backendChoice = backend;
+    return *specSlot(spec).sensor;
 }
 
 ExecutionProfile
 ExperimentRunner::profile(const MachineConfig &cfg, const Benchmark &bench)
 {
     const ProcessorSpec &spec = *cfg.spec;
-    const PerfModel &perf = perfModel(spec);
-    const ChipPowerModel &power = powerModel(spec);
+    const SpecSlot &slot = specSlot(spec);
+    const PerfModel &perf = *slot.perf;
+    const ChipPowerModel &power = *slot.power;
     const double work = bench.instructionsB() * 1e9;
 
     // AVX license derating (server parts): vector-heavy code pulls
@@ -413,59 +376,64 @@ ExperimentRunner::cachedMeasurements() const
     return n;
 }
 
-std::vector<PowerBreakdown>
-ExperimentRunner::phaseBreakdowns(const MachineConfig &cfg,
-                                  const Benchmark &bench,
-                                  const ExecutionProfile &prof,
-                                  Rng &rng)
+/**
+ * The shared front half of measure(), phasePowerSeries() and
+ * meterRun(): profile the execution, derive the experiment's stream
+ * from its key, and fork the phase model off that stream. Every
+ * consumer therefore sees the identical phase series.
+ */
+ExperimentRunner::Execution
+ExperimentRunner::execution(const MachineConfig &cfg,
+                            const Benchmark &bench)
 {
+    const uint64_t streamHash = fnv1a(ExperimentRunner::keyOf(cfg, bench));
+    Execution run{profile(cfg, bench), streamHash,
+                  Rng(baseSeed ^ streamHash), {}};
+    const ExecutionProfile &prof = run.prof;
+
     // Phase behaviour from the workload's phase model: compute- and
     // memory-leaning intervals plus GC bursts for Java, producing
     // the nonuniform power traces real workloads show.
     const ChipPowerModel &power = powerModel(*cfg.spec);
-    Rng phaseRng = rng.fork();
+    Rng phaseRng = run.rng.fork();
     PhaseModel phaseModel(bench, phaseRng.next());
     const auto points = phaseModel.generate(powerPhases);
 
-    std::vector<PowerBreakdown> phases(points.size());
+    run.phases.resize(points.size());
     for (size_t k = 0; k < points.size(); ++k) {
         std::vector<double> act = prof.coreActivity;
         for (double &a : act)
             a = std::clamp(a * points[k].activityMult, 0.0, 1.0);
-        phases[k] = power.compute(
+        run.phases[k] = power.compute(
             cfg, prof.effectiveClockGhz, act,
             std::clamp(prof.llcActivity * points[k].memoryMult, 0.0,
                        1.0),
             prof.dramGBs * points[k].memoryMult);
     }
-    return phases;
+    return run;
 }
 
 std::vector<PowerBreakdown>
 ExperimentRunner::phasePowerSeries(const MachineConfig &cfg,
                                    const Benchmark &bench)
 {
-    const ExecutionProfile prof = profile(cfg, bench);
-    Rng rng(baseSeed ^ fnv1a(ExperimentRunner::keyOf(cfg, bench)));
-    return phaseBreakdowns(cfg, bench, prof, rng);
+    return execution(cfg, bench).phases;
 }
 
 StructureMeters
 ExperimentRunner::meterRun(const MachineConfig &cfg,
                            const Benchmark &bench, double *duration_sec)
 {
-    const ExecutionProfile prof = profile(cfg, bench);
     // The meters see the identical phase series the Hall sensor
-    // samples in measure(): same derived stream, same phases.
-    Rng rng(baseSeed ^ fnv1a(ExperimentRunner::keyOf(cfg, bench)));
-    const auto phases = phaseBreakdowns(cfg, bench, prof, rng);
+    // samples in measure().
+    const Execution run = execution(cfg, bench);
 
     StructureMeters meters;
-    const double dt = prof.timeSec / phases.size();
-    for (const auto &phase : phases)
+    const double dt = run.prof.timeSec / run.phases.size();
+    for (const auto &phase : run.phases)
         meters.deposit(phase, dt);
     if (duration_sec)
-        *duration_sec = prof.timeSec;
+        *duration_sec = run.prof.timeSec;
     return meters;
 }
 
@@ -480,17 +448,12 @@ ExperimentRunner::runMeasurement(const MachineConfig &cfg,
             "rig offline for poisoned configuration '" + cfg.label() +
                 "' (" + bench.name + ")"));
     }
-    const ExecutionProfile prof = profile(cfg, bench);
-    const Rig &sensorRig = rig(*cfg.spec);
-
-    const uint64_t streamHash = fnv1a(ExperimentRunner::keyOf(cfg, bench));
-    Rng rng(baseSeed ^ streamHash);
-
-    const std::vector<PowerBreakdown> phases =
-        phaseBreakdowns(cfg, bench, prof, rng);
-    std::vector<double> phasePowerW(phases.size());
-    for (size_t k = 0; k < phases.size(); ++k)
-        phasePowerW[k] = phases[k].total();
+    Execution run = execution(cfg, bench);
+    const ExecutionProfile &prof = run.prof;
+    Rng &rng = run.rng;
+    std::vector<double> phasePowerW(run.phases.size());
+    for (size_t k = 0; k < run.phases.size(); ++k)
+        phasePowerW[k] = run.phases[k].total();
 
     // A plan with nonzero rates takes the fault-aware path. With an
     // empty plan the runner must stay byte-identical to the
@@ -499,9 +462,10 @@ ExperimentRunner::runMeasurement(const MachineConfig &cfg,
     // through the batched bit-exact pipeline.
     if (faults.injectsSamples()) {
         return faultedMeasurement(cfg, bench, prof, phasePowerW, rng,
-                                  streamHash);
+                                  run.streamHash);
     }
 
+    const PowerSensor &rig = sensor(*cfg.spec);
     const int invocations = bench.prescribedInvocations();
     Summary timeStats, powerStats;
     for (int inv = 0; inv < invocations; ++inv) {
@@ -513,7 +477,7 @@ ExperimentRunner::runMeasurement(const MachineConfig &cfg,
         // sensor, ADC, calibration decode. The batched session is
         // bitwise equal to sampling one-by-one through
         // channel->sampleCounts (see sensor/sampling.hh).
-        const double wattsSum = sensorRig.sensor->sessionWatts(
+        const double wattsSum = rig.sessionWatts(
             phasePowerW.data(), powerPhases, draw.powerScale,
             draw.samples, invRng);
 
@@ -546,10 +510,10 @@ ExperimentRunner::faultedMeasurement(const MachineConfig &cfg,
                                      const std::vector<double> &phasePowerW,
                                      Rng &rng, uint64_t stream_hash)
 {
-    const Rig &sensorRig = rig(*cfg.spec);
+    const PowerSensor &rig = sensor(*cfg.spec);
     const int invocations = bench.prescribedInvocations();
-    const int railHigh = sensorRig.sensor->railHighCode();
-    const int railLow = sensorRig.sensor->railLowCode();
+    const int railHigh = rig.railHighCode();
+    const int railLow = rig.railLowCode();
 
     struct Session
     {
@@ -573,8 +537,7 @@ ExperimentRunner::faultedMeasurement(const MachineConfig &cfg,
         out.expectedSamples = samples;
 
         FaultInjector injector(faults, stream_hash, session, samples);
-        const auto sensorSession =
-            sensorRig.sensor->beginSession(invRng);
+        const auto sensorSession = rig.beginSession(invRng);
         PowerTraceLogger logger(*sensorSession);
         for (int s = 0; s < samples; ++s) {
             const int k = static_cast<int>(

@@ -9,11 +9,12 @@
  * Concurrency: every public method is safe to call from multiple
  * threads. The memo cache is sharded by key hash; each entry is
  * computed exactly once (std::call_once) while other threads asking
- * for the same experiment block until it is ready. Per-processor
- * models and sensor rigs are built lazily the same way. Because each
- * experiment derives its own random stream from its key, results are
- * bit-identical whatever the thread count or execution order — the
- * contract lhr::SweepEngine builds on.
+ * for the same experiment block until it is ready. Each processor's
+ * models and sensor rig are built lazily the same way, together, in
+ * one per-processor slot. Because each experiment derives its own
+ * random stream from its key, results are bit-identical whatever the
+ * thread count or execution order — the contract lhr::SweepEngine
+ * builds on.
  */
 
 #ifndef LHR_HARNESS_RUNNER_HH
@@ -35,7 +36,6 @@
 #include "util/env.hh"
 #include "power/chip_power.hh"
 #include "power/meters.hh"
-#include "sensor/calibration.hh"
 #include "sensor/channel.hh"
 #include "sensor/sensor.hh"
 #include "util/rng.hh"
@@ -78,14 +78,22 @@ struct MeasurementPolicy
 
 /**
  * Runs experiments and caches results. Deterministic for a given
- * seed: every (configuration, benchmark) pair derives its own random
- * stream, so measurements are independent of execution order and of
- * the number of threads driving the runner.
+ * seed and sensor backend, both fixed at construction: every
+ * (configuration, benchmark) pair derives its own random stream, so
+ * measurements are independent of execution order and of the number
+ * of threads driving the runner.
  */
 class ExperimentRunner
 {
   public:
-    explicit ExperimentRunner(uint64_t seed = defaultSeed());
+    /**
+     * @param seed base of every experiment's random stream
+     * @param sensor force every rig onto one backend; nullopt gives
+     *        each processor its era's default (defaultSensorBackend)
+     */
+    explicit ExperimentRunner(
+        uint64_t seed = builtinSeed,
+        std::optional<SensorBackend> sensor = std::nullopt);
 
     ExperimentRunner(const ExperimentRunner &) = delete;
     ExperimentRunner &operator=(const ExperimentRunner &) = delete;
@@ -133,22 +141,13 @@ class ExperimentRunner
     const ChipPowerModel &powerModel(const ProcessorSpec &spec);
 
     /**
-     * The calibrated measurement channel of a processor's rig.
-     * panic()s when the rig's backend has no calibration (RAPL
-     * decodes directly from energy units).
+     * The measurement backend of a processor's rig (built lazily,
+     * once). Its calibration() is nullptr for a RAPL rig.
      */
-    const Calibration &calibration(const ProcessorSpec &spec);
-
-    /** The measurement backend of a processor's rig. */
     const PowerSensor &sensor(const ProcessorSpec &spec);
 
-    /**
-     * Force every rig this runner builds onto one backend (nullopt
-     * restores the per-spec default). Must be called before any rig
-     * is built — a rig constructed under another backend would
-     * silently mix measurement chains (panic otherwise).
-     */
-    void setSensorBackend(std::optional<SensorBackend> backend);
+    /** The backend forced onto every rig; nullopt: the era default. */
+    std::optional<SensorBackend> forcedSensor() const { return sensorChoice; }
 
     /**
      * The true per-phase power waveform of one execution — the
@@ -226,23 +225,33 @@ class ExperimentRunner
     static constexpr int powerPhases = 64;
 
   private:
-    struct Rig
+    /**
+     * Everything the runner builds for one processor: its models and
+     * its sensor rig, each a pure function of (spec, seed, backend).
+     * The map that owns the slot is guarded by specMutex, but the
+     * slot is built outside that lock under its own once_flag, so
+     * slow builds (model fitting, calibration sweeps) of different
+     * specs proceed in parallel.
+     */
+    struct SpecSlot
     {
+        std::once_flag once;
+        std::unique_ptr<PerfModel> perf;
+        std::unique_ptr<ChipPowerModel> power;
         std::unique_ptr<PowerSensor> sensor;
     };
 
     /**
-     * A lazily-built, build-exactly-once slot. The map that owns the
-     * slot is guarded by a mutex, but construction of the value runs
-     * outside that lock under the slot's own once_flag, so slow
-     * builds (model fitting, calibration sweeps) of different specs
-     * proceed in parallel.
+     * One experiment's noise-free execution and the start of its
+     * random stream: the profile, the stream hash and derived Rng
+     * (already past the phase fork), and the per-phase power series.
      */
-    template <typename T>
-    struct OnceSlot
+    struct Execution
     {
-        std::once_flag once;
-        T value;
+        ExecutionProfile prof;
+        uint64_t streamHash;
+        Rng rng;
+        std::vector<PowerBreakdown> phases;
     };
 
     /**
@@ -298,16 +307,8 @@ class ExperimentRunner
     MemoSlot memoSlot(const MachineConfig &cfg, const Benchmark &bench,
                       bool claim) const;
 
-    template <typename T>
-    using SpecSlotMap = // lhrlint:allow-next-line(det-unordered): keyed lookups only — slot maps are never iterated
-        std::unordered_map<const ProcessorSpec *,
-                           std::unique_ptr<OnceSlot<T>>>;
-
-    template <typename T, typename Build>
-    const T &specOnce(SpecSlotMap<T> &map, const ProcessorSpec &spec,
-                      Build &&build);
-
-    const Rig &rig(const ProcessorSpec &spec);
+    const SpecSlot &specSlot(const ProcessorSpec &spec);
+    Execution execution(const MachineConfig &cfg, const Benchmark &bench);
     Measurement runMeasurement(const MachineConfig &cfg,
                                const Benchmark &bench);
     Measurement faultedMeasurement(const MachineConfig &cfg,
@@ -315,21 +316,18 @@ class ExperimentRunner
                                    const ExecutionProfile &prof,
                                    const std::vector<double> &phasePowerW,
                                    Rng &rng, uint64_t stream_hash);
-    std::vector<PowerBreakdown> phaseBreakdowns(
-        const MachineConfig &cfg, const Benchmark &bench,
-        const ExecutionProfile &prof, Rng &rng);
 
-    uint64_t baseSeed;
+    const uint64_t baseSeed;
+    const std::optional<SensorBackend> sensorChoice;
     FaultPlan faults;
     MeasurementPolicy policy;
-    std::optional<SensorBackend> backendChoice;
 
     mutable std::array<MemoShard, memoShardCount> memoShards;
 
-    std::mutex specMutex; ///< guards the three per-spec slot maps
-    SpecSlotMap<std::unique_ptr<PerfModel>> perfModels;
-    SpecSlotMap<std::unique_ptr<ChipPowerModel>> powerModels;
-    SpecSlotMap<Rig> rigs;
+    std::mutex specMutex; ///< guards specSlots
+    // lhrlint:allow-next-line(det-unordered): keyed lookups only — the slot map is never iterated
+    std::unordered_map<const ProcessorSpec *, std::unique_ptr<SpecSlot>>
+        specSlots;
 };
 
 } // namespace lhr

@@ -1,7 +1,6 @@
 #include "sensor/sensor.hh"
 
 #include <cstdint>
-#include <cstdlib>
 
 #include "machine/processor.hh"
 #include "sensor/hall.hh"
@@ -11,13 +10,6 @@
 
 namespace lhr
 {
-
-namespace
-{
-
-std::optional<SensorBackend> backendOverride;
-
-} // namespace
 
 const char *
 sensorBackendName(SensorBackend backend)
@@ -84,33 +76,10 @@ makeSensor(SensorBackend backend, const ProcessorSpec &spec,
 SensorBackend
 defaultSensorBackend(const ProcessorSpec &spec)
 {
-    if (const auto backend = sensorBackendOverride())
-        return *backend;
     // Paper-era rigs carry the Hall chain (the golden-output
     // contract); server-era parts expose energy MSRs.
     return spec.era >= Era::SandyBridge ? SensorBackend::Rapl
                                         : SensorBackend::HallEffect;
-}
-
-void
-setSensorBackendOverride(std::optional<SensorBackend> backend)
-{
-    backendOverride = backend;
-}
-
-std::optional<SensorBackend>
-sensorBackendOverride()
-{
-    if (backendOverride)
-        return backendOverride;
-    if (const char *env = std::getenv("LHR_SENSOR")) {
-        const auto parsed = parseSensorBackend(env);
-        if (!parsed)
-            panic(msgOf("LHR_SENSOR: unknown backend '", env,
-                        "' (valid: hall, rapl)"));
-        return parsed;
-    }
-    return std::nullopt;
 }
 
 } // namespace lhr

@@ -126,22 +126,10 @@ std::unique_ptr<PowerSensor> makeSensor(SensorBackend backend,
                                         uint64_t base_seed);
 
 /**
- * The backend a rig carries by default: the process-wide override
- * when one is installed (setSensorBackendOverride / LHR_SENSOR),
- * else Hall for the paper parts and RAPL for the post-2011 server
- * eras.
+ * The backend a rig carries unless its runner forces one: Hall for
+ * the paper parts, RAPL for the post-2011 server eras.
  */
 SensorBackend defaultSensorBackend(const ProcessorSpec &spec);
-
-/**
- * Install (or, with nullopt, clear) a process-wide backend override
- * (lhrlab --sensor). Like setSeedOverride, it must be installed
- * before runners build their rigs.
- */
-void setSensorBackendOverride(std::optional<SensorBackend> backend);
-
-/** The installed override, or LHR_SENSOR, or nullopt. */
-std::optional<SensorBackend> sensorBackendOverride();
 
 } // namespace lhr
 

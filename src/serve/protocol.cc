@@ -231,19 +231,13 @@ formatServeRequest(const ServeRequest &req)
     return out.str();
 }
 
-Expected<ResolvedQuery>
-resolveQuery(const ServeRequest &req)
+Expected<MachineConfig>
+resolveConfig(const ServeRequest &req)
 {
     const ProcessorSpec *spec = findProcessor(req.proc);
     if (spec == nullptr) {
         return Status::error(StatusCode::InvalidArgument,
                              msgOf("unknown processor \"", req.proc,
-                                   "\""));
-    }
-    const Benchmark *bench = findBenchmark(req.bench);
-    if (bench == nullptr) {
-        return Status::error(StatusCode::InvalidArgument,
-                             msgOf("unknown benchmark \"", req.bench,
                                    "\""));
     }
 
@@ -281,11 +275,22 @@ resolveQuery(const ServeRequest &req)
         }
         cfg = withTurbo(cfg, *req.turbo);
     }
+    return cfg;
+}
 
-    ResolvedQuery query;
-    query.config = cfg;
-    query.benchmark = bench;
-    return query;
+Expected<ResolvedQuery>
+resolveQuery(const ServeRequest &req)
+{
+    const Expected<MachineConfig> cfg = resolveConfig(req);
+    if (!cfg.ok())
+        return cfg.status();
+    const Benchmark *bench = findBenchmark(req.bench);
+    if (bench == nullptr) {
+        return Status::error(StatusCode::InvalidArgument,
+                             msgOf("unknown benchmark \"", req.bench,
+                                   "\""));
+    }
+    return ResolvedQuery{cfg.value(), bench};
 }
 
 std::string

@@ -92,7 +92,7 @@ struct ServeRequest
     std::optional<bool> smt;
     std::optional<double> clockGhz;
     std::optional<bool> turbo;
-    double deadlineMs = 0.0; ///< 0 = server default (may be none)
+    double deadlineMs = 0.0; ///< 0 = no deadline
     double stallMs = 0.0;    ///< worker hold time (load testing)
 };
 
@@ -117,11 +117,14 @@ struct ResolvedQuery
 };
 
 /**
- * Resolve a measure request to (MachineConfig, Benchmark): unknown
- * processor/benchmark, out-of-range cores/clock, or SMT/Turbo on a
- * part without them are InvalidArgument — the same contract the
- * `lhrlab measure` command enforces, typed instead of fatal.
+ * Resolve a request's processor and BIOS knobs to a MachineConfig:
+ * an unknown processor, out-of-range cores/clock, or SMT/Turbo on a
+ * part without them are InvalidArgument. `lhrlab measure` uses it too.
  */
+[[nodiscard]] Expected<MachineConfig>
+resolveConfig(const ServeRequest &req);
+
+/** resolveConfig() plus the benchmark lookup (unknown: InvalidArgument). */
 [[nodiscard]] Expected<ResolvedQuery>
 resolveQuery(const ServeRequest &req);
 

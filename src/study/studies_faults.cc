@@ -69,15 +69,16 @@ scenarios()
 
 /**
  * Measure one experiment through a dedicated runner carrying the
- * plan and pipeline choice. A fresh runner per call keeps the
- * fault/policy combination from contaminating any cache; nullopt
- * when even the hardened pipeline could not recover.
+ * plan and pipeline choice, and the lab's seed and forced sensor
+ * backend. A fresh runner per call keeps the fault/policy
+ * combination from contaminating any cache; nullopt when even the
+ * hardened pipeline could not recover.
  */
 std::optional<Measurement>
-measureUnder(uint64_t seed, const FaultPlan &plan, bool harden,
+measureUnder(Lab &lab, const FaultPlan &plan, bool harden,
              const MachineConfig &cfg, const Benchmark &bench)
 {
-    ExperimentRunner runner(seed);
+    ExperimentRunner runner(lab.seed(), lab.runner().forcedSensor());
     MeasurementPolicy pol;
     pol.harden = harden;
     runner.setFaultPlan(plan);
@@ -146,10 +147,8 @@ runAblationFaults(Lab &lab, ReportContext &ctx)
 
         for (const Benchmark *bench : benches) {
             const Measurement &truth = lab.measure(cfg, *bench);
-            const auto raw = measureUnder(lab.seed(), plan, false,
-                                          cfg, *bench);
-            const auto rec = measureUnder(lab.seed(), plan, true,
-                                          cfg, *bench);
+            const auto raw = measureUnder(lab, plan, false, cfg, *bench);
+            const auto rec = measureUnder(lab, plan, true, cfg, *bench);
 
             sink.beginRow();
             sink.cell(std::string(faultClassName(scenario.cls)));

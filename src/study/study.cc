@@ -241,7 +241,8 @@ listStudies(std::ostream &os, bool namesOnly)
 }
 
 int
-runStudyCommand(const std::vector<std::string> &args)
+runStudyCommand(const std::vector<std::string> &args, uint64_t seed,
+                std::optional<SensorBackend> sensor)
 {
     StudyOptions options;
     std::vector<std::string> names;
@@ -283,10 +284,10 @@ runStudyCommand(const std::vector<std::string> &args)
         } else if (opt == "--seed") {
             const auto value =
                 valueOf(opt, i, inlineValue, hasInline);
-            const auto seed = parseSeed(value);
-            if (!seed)
+            const auto parsed = parseSeed(value);
+            if (!parsed)
                 fatal("malformed --seed '" + value + "'");
-            setSeedOverride(seed);
+            seed = *parsed;
         } else if (opt == "--jobs") {
             const auto value =
                 valueOf(opt, i, inlineValue, hasInline);
@@ -321,7 +322,7 @@ runStudyCommand(const std::vector<std::string> &args)
         }
     }
 
-    Lab lab;
+    Lab lab(seed, sensor);
     return runStudies(lab, studies, options);
 }
 

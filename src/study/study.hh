@@ -22,6 +22,7 @@
 #ifndef LHR_STUDY_STUDY_HH
 #define LHR_STUDY_STUDY_HH
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -33,6 +34,7 @@
 
 #include "analysis/report.hh"
 #include "machine/processor.hh"
+#include "sensor/sensor.hh"
 
 namespace lhr
 {
@@ -194,9 +196,11 @@ int runStudies(Lab &lab, const std::vector<const Study *> &studies,
 /**
  * The `lhrlab run` command body. `args` holds study names (or
  * --all) and options: --format=text|csv|json, --out DIR, --seed N,
- * --jobs N, --no-prewarm.
+ * --jobs N, --no-prewarm. The studies run on a Lab built from `seed`
+ * (a --seed in `args` replaces it) and `sensor`.
  */
-int runStudyCommand(const std::vector<std::string> &args);
+int runStudyCommand(const std::vector<std::string> &args, uint64_t seed,
+                    std::optional<SensorBackend> sensor);
 
 /** List registered studies; names only (for scripting) or a table. */
 void listStudies(std::ostream &os, bool namesOnly);

@@ -9,18 +9,6 @@
 namespace lhr
 {
 
-namespace
-{
-
-std::optional<uint64_t> &
-seedOverrideSlot()
-{
-    static std::optional<uint64_t> slot;
-    return slot;
-}
-
-} // namespace
-
 std::optional<uint64_t>
 parseSeed(const std::string &text)
 {
@@ -36,24 +24,6 @@ parseSeed(const std::string &text)
     if (errno != 0 || end == nullptr || *end != '\0')
         return std::nullopt;
     return static_cast<uint64_t>(value);
-}
-
-uint64_t
-defaultSeed()
-{
-    if (seedOverrideSlot())
-        return *seedOverrideSlot();
-    if (const char *env = std::getenv("LHR_SEED")) {
-        if (const auto seed = parseSeed(env))
-            return *seed;
-    }
-    return builtinSeed;
-}
-
-void
-setSeedOverride(std::optional<uint64_t> seed)
-{
-    seedOverrideSlot() = seed;
 }
 
 Expected<long>

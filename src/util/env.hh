@@ -1,12 +1,12 @@
 /**
  * @file
- * Process-environment knobs of the laboratory.
+ * Command-line inputs of the laboratory: the built-in seed and the
+ * strict parsers front ends use for --seed and numeric flags.
  *
- * Every Lab and ExperimentRunner seeds its random streams from
- * defaultSeed(): the LHR_SEED environment variable when set (decimal
- * or 0x-prefixed hex), otherwise the historical 0xC0FFEE default the
- * paper reproduction has always used. Front ends (lhrlab --seed)
- * can override both with setSeedOverride().
+ * A Lab or ExperimentRunner takes its seed as a constructor
+ * argument; nothing reads it from the environment. Constructed
+ * without one, it uses builtinSeed, the historical 0xC0FFEE default
+ * the paper reproduction has always used.
  */
 
 #ifndef LHR_UTIL_ENV_HH
@@ -23,15 +23,6 @@ namespace lhr
 
 /** The seed used when none is given explicitly: 0xC0FFEE. */
 inline constexpr uint64_t builtinSeed = 0xC0FFEEull;
-
-/**
- * The experiment seed: the --seed override if one was installed,
- * else LHR_SEED from the environment, else builtinSeed.
- */
-[[nodiscard]] uint64_t defaultSeed();
-
-/** Install (or, with nullopt, clear) a process-wide seed override. */
-void setSeedOverride(std::optional<uint64_t> seed);
 
 /**
  * Parse a seed string: decimal or 0x-prefixed hexadecimal.

@@ -26,11 +26,12 @@ struct CliResult
     std::string output; ///< stdout and stderr, interleaved
 };
 
+/** Run lhrlab with `args`; `env` prefixes VAR=value assignments. */
 CliResult
-runCli(const std::string &args)
+runCli(const std::string &args, const std::string &env = "")
 {
-    const std::string cmd =
-        std::string(LHR_LHRLAB_BIN) + " " + args + " 2>&1";
+    const std::string cmd = env + " " + std::string(LHR_LHRLAB_BIN) +
+        " " + args + " 2>&1";
     FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << cmd;
     CliResult result;
@@ -102,6 +103,36 @@ TEST(Cli, MissingSeedValueExitsTwo)
     const CliResult r = runCli("--seed");
     EXPECT_EQ(r.exitCode, 2);
     EXPECT_TRUE(mentions(r, "--seed needs a value"));
+}
+
+TEST(Cli, EnvironmentDoesNotChooseSeedOrSensor)
+{
+    // The seed and the sensor backend are command-line inputs only:
+    // a stray variable in the environment can neither abort the CLI
+    // nor move a single recorded byte.
+    const CliResult sensor = runCli("processors", "LHR_SENSOR=bogus");
+    EXPECT_EQ(sensor.exitCode, 0) << sensor.output;
+
+    const CliResult seed =
+        runCli("run table3 --format=json", "LHR_SEED=42");
+    EXPECT_EQ(seed.exitCode, 0) << seed.output;
+    EXPECT_TRUE(mentions(seed, "\"seed\": 12648430")) << seed.output;
+}
+
+TEST(Cli, SensorFlagForcesEveryRig)
+{
+    const CliResult r = runCli("--sensor rapl processors");
+    EXPECT_EQ(r.exitCode, 0) << r.output;
+    const size_t row = r.output.find("Pentium4 (130)");
+    ASSERT_NE(row, std::string::npos) << r.output;
+    const std::string line =
+        r.output.substr(row, r.output.find('\n', row) - row);
+    EXPECT_NE(line.find("rapl"), std::string::npos) << line;
+    EXPECT_FALSE(mentions(r, "hall")) << r.output;
+
+    const CliResult bogus = runCli("--sensor bogus processors");
+    EXPECT_EQ(bogus.exitCode, 2) << bogus.output;
+    EXPECT_TRUE(mentions(bogus, "hall|rapl")) << bogus.output;
 }
 
 TEST(Cli, UnknownRunFormatExitsNonzero)

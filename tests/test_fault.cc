@@ -188,8 +188,9 @@ TEST(FaultInjector, DisconnectLosesEveryLaterSample)
         const bool lost = injector.next().lost;
         if (lost && firstLost < 0)
             firstLost = i;
-        if (firstLost >= 0)
+        if (firstLost >= 0) {
             EXPECT_TRUE(lost) << "sample " << i;
+        }
     }
     // The cut lands in the middle half of the session.
     ASSERT_GE(firstLost, samples / 4);

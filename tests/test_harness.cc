@@ -9,6 +9,7 @@
 #include "harness/aggregate.hh"
 #include "harness/reference.hh"
 #include "harness/runner.hh"
+#include "sensor/calibration.hh"
 
 namespace lhr
 {
@@ -169,7 +170,8 @@ TEST(Runner, CalibrationRigsMeetQualityGate)
 {
     ExperimentRunner runner(9);
     for (const auto &spec : allProcessors())
-        EXPECT_GE(runner.calibration(spec).r2(), 0.999) << spec.id;
+        EXPECT_GE(runner.sensor(spec).calibration()->r2(), 0.999)
+            << spec.id;
 }
 
 TEST(Reference, CoversAllBenchmarks)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "stats/pareto.hh"
+#include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace lhr
@@ -114,7 +115,7 @@ class ParetoRandomSweep : public ::testing::TestWithParam<uint64_t>
         Rng rng(seed);
         std::vector<ParetoPoint> points;
         for (size_t i = 0; i < n; ++i) {
-            points.push_back({"p" + std::to_string(i),
+            points.push_back({msgOf("p", i),
                               rng.uniform(0.1, 10.0),
                               rng.uniform(0.1, 10.0)});
         }

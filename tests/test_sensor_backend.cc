@@ -44,12 +44,6 @@ identical(const Measurement &a, const Measurement &b)
         a.invocations == b.invocations;
 }
 
-/** Clears the process-wide backend override on scope exit. */
-struct OverrideGuard
-{
-    ~OverrideGuard() { setSensorBackendOverride(std::nullopt); }
-};
-
 } // namespace
 
 TEST(SensorBackend, NamesRoundTrip)
@@ -255,48 +249,27 @@ TEST(SensorBackend, DefaultBackendFollowsTheEra)
             << spec.id;
 }
 
-TEST(SensorBackend, OverrideWinsOverTheEra)
-{
-    OverrideGuard guard;
-    setSensorBackendOverride(SensorBackend::Rapl);
-    EXPECT_EQ(defaultSensorBackend(processorById("i7 (45)")),
-              SensorBackend::Rapl);
-    setSensorBackendOverride(SensorBackend::HallEffect);
-    EXPECT_EQ(defaultSensorBackend(processorById("XeonSP (14)")),
-              SensorBackend::HallEffect);
-    setSensorBackendOverride(std::nullopt);
-    EXPECT_EQ(defaultSensorBackend(processorById("XeonSP (14)")),
-              SensorBackend::Rapl);
-}
-
 TEST(RunnerBackend, RigCarriesTheConfiguredBackend)
 {
     const auto &i7 = processorById("i7 (45)");
+    const auto &xeon = processorById("XeonSP (14)");
 
-    ExperimentRunner hall(0xBEEF);
-    EXPECT_EQ(hall.sensor(i7).backend(), SensorBackend::HallEffect);
-    EXPECT_NE(hall.sensor(i7).calibration(), nullptr);
+    // Unforced, each rig follows its era.
+    ExperimentRunner byEra(0xBEEF);
+    EXPECT_EQ(byEra.forcedSensor(), std::nullopt);
+    EXPECT_EQ(byEra.sensor(i7).backend(), SensorBackend::HallEffect);
+    EXPECT_NE(byEra.sensor(i7).calibration(), nullptr);
+    EXPECT_EQ(byEra.sensor(xeon).backend(), SensorBackend::Rapl);
 
-    ExperimentRunner rapl(0xBEEF);
-    rapl.setSensorBackend(SensorBackend::Rapl);
+    // A forced backend wins over the era, in both directions.
+    ExperimentRunner rapl(0xBEEF, SensorBackend::Rapl);
+    EXPECT_EQ(rapl.forcedSensor(), SensorBackend::Rapl);
     EXPECT_EQ(rapl.sensor(i7).backend(), SensorBackend::Rapl);
     EXPECT_EQ(rapl.sensor(i7).calibration(), nullptr);
-}
 
-TEST(RunnerBackend, BackendMustBeChosenBeforeRigsExist)
-{
-    ExperimentRunner runner(0xBEEF);
-    runner.sensor(processorById("i7 (45)"));
-    EXPECT_DEATH(runner.setSensorBackend(SensorBackend::Rapl),
-                 "already exist");
-}
-
-TEST(RunnerBackend, CalibrationOfARaplRigPanics)
-{
-    ExperimentRunner runner(0xBEEF);
-    runner.setSensorBackend(SensorBackend::Rapl);
-    EXPECT_DEATH(runner.calibration(processorById("i7 (45)")),
-                 "without a calibration");
+    ExperimentRunner hall(0xBEEF, SensorBackend::HallEffect);
+    EXPECT_EQ(hall.sensor(xeon).backend(), SensorBackend::HallEffect);
+    EXPECT_NE(hall.sensor(xeon).calibration(), nullptr);
 }
 
 TEST(RunnerBackend, RaplMeasurementsAreDeterministicAndDiffer)
@@ -304,9 +277,9 @@ TEST(RunnerBackend, RaplMeasurementsAreDeterministicAndDiffer)
     const auto cfg = stockConfig(processorById("i7 (45)"));
     const auto &bench = benchmarkByName("mcf");
 
-    ExperimentRunner a(0xBEEF), b(0xBEEF), hall(0xBEEF);
-    a.setSensorBackend(SensorBackend::Rapl);
-    b.setSensorBackend(SensorBackend::Rapl);
+    ExperimentRunner a(0xBEEF, SensorBackend::Rapl);
+    ExperimentRunner b(0xBEEF, SensorBackend::Rapl);
+    ExperimentRunner hall(0xBEEF);
 
     const Measurement &ma = a.measure(cfg, bench);
     EXPECT_TRUE(identical(ma, b.measure(cfg, bench)));

@@ -12,6 +12,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/lab.hh"
 #include "study/study.hh"
@@ -36,6 +38,34 @@ goldenFile(const std::string &name)
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+/** The data rows of a one-table study's CSV rendering, as cells. */
+std::vector<std::vector<std::string>>
+csvRows(Lab &lab, const std::string &name)
+{
+    const Study *study = StudyRegistry::instance().find(name);
+    EXPECT_NE(study, nullptr);
+    std::ostringstream out;
+    CsvSink sink(out);
+    runStudy(lab, *study, sink, OutputFormat::Csv);
+
+    std::vector<std::vector<std::string>> rows;
+    std::istringstream lines(out.str());
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::vector<std::string> cells;
+        std::istringstream fields(line);
+        std::string cell;
+        while (std::getline(fields, cell, ','))
+            cells.push_back(cell);
+        rows.push_back(std::move(cells));
+    }
+    if (!rows.empty())
+        rows.erase(rows.begin()); // the column header
+    return rows;
 }
 
 std::string
@@ -190,6 +220,31 @@ TEST(StudySeed, LabSeedIsConfigurable)
               again.measure(cfg, bench).timeSec);
     EXPECT_NE(stock.measure(cfg, bench).timeSec,
               other.measure(cfg, bench).timeSec);
+}
+
+TEST(Study, ForcedSensorReachesEveryRunner)
+{
+    // ablation_faults measures its faulted rows on runners of its
+    // own: "True W" comes from the Lab's runner, "Raw W" and "Rec W"
+    // from the study's. Those two columns move with a forced backend
+    // only if the backend reaches the study's runners too.
+    Lab byEra(builtinSeed);
+    Lab rapl(builtinSeed, SensorBackend::Rapl);
+    const auto eraRows = csvRows(byEra, "ablation_faults");
+    const auto raplRows = csvRows(rapl, "ablation_faults");
+    ASSERT_FALSE(eraRows.empty());
+    ASSERT_EQ(eraRows.size(), raplRows.size());
+
+    constexpr size_t rawW = 4, recW = 7;
+    size_t moved = 0;
+    for (size_t r = 0; r < eraRows.size(); ++r) {
+        ASSERT_GT(eraRows[r].size(), recW);
+        ASSERT_GT(raplRows[r].size(), recW);
+        if (eraRows[r][rawW] != raplRows[r][rawW] &&
+            eraRows[r][recW] != raplRows[r][recW])
+            ++moved;
+    }
+    EXPECT_GT(moved, eraRows.size() / 2);
 }
 
 } // namespace lhr

@@ -267,10 +267,11 @@ TEST(Sweep, PoisonedConfigDegradesToOneFlaggedRow)
     // poison-only plan perturbs nothing else.
     ExperimentRunner clean(0xBEEF);
     for (const SweepCell &cell : report.cells) {
-        if (cell.ok())
+        if (cell.ok()) {
             EXPECT_TRUE(identical(
                 *cell.measurement,
                 clean.measure(*cell.config, *cell.benchmark)));
+        }
     }
 }
 
@@ -389,8 +390,9 @@ TEST(Sweep, ToStoreKeepsEveryCell)
     for (const auto *row : serialStore.all()) {
         const StoredResult *other =
             store.find(row->config, row->benchmark);
-        if (other)
+        if (other) {
             EXPECT_DOUBLE_EQ(other->timeSec, row->timeSec);
+        }
     }
 }
 
