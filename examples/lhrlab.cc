@@ -2,31 +2,19 @@
  * @file
  * lhrlab — command-line front end to the measurement laboratory.
  *
- * Subcommands:
- *   list [--names]                  list the registered studies
- *   run <study>... | run --all      run studies (one prewarm pass)
- *   processors                      list the eight processors
- *   benchmarks [group]              list benchmarks (nn|ns|jn|js)
- *   configs [--45nm]                list experimental configurations
- *   measure <proc-id> <bench> [opts]   measure one benchmark
- *   aggregate <proc-id> [opts]         Table 4-style row
- *   counters <proc-id> <bench>         event-counter profile
+ * Every command is one entry of the `commands` table below: its name,
+ * usage text, flags, positional-argument count and body; `lhrlab
+ * help` prints the table. One parser, parseArgs(), reads every
+ * command line against it, so all commands share one grammar:
+ * `--flag value` or `--flag=value`, flags and positional arguments
+ * in any order, and the global options (--seed, --sensor) before
+ * the command. A command line that breaks the grammar (unknown
+ * command or flag, missing or malformed value, wrong number of
+ * arguments) exits 2 with the usage text; a failed lookup or run
+ * (unknown study, processor or benchmark, a configuration the part
+ * cannot take, an unwritable file) exits 1 with a `fatal:` line.
  *
- * Options for run:
- *   --format text|csv|json   --out DIR   --jobs N   --no-prewarm
- * Options for measure/aggregate:
- *   --cores N   --smt on|off   --clock GHZ   --turbo on|off
- * Global options (before the command), passed to every Lab it builds:
- *   --seed N             experiment seed (default 0xC0FFEE)
- *   --sensor hall|rapl   force the measurement backend of every rig
- *                        (default per era, see `processors`)
- *
- * Examples:
- *   lhrlab run fig04 --format=json
- *   lhrlab run --all --jobs 8 --format=json --out artifacts/
- *   lhrlab measure "i7 (45)" mcf --cores 2 --smt off --clock 1.6
- *
- * Sharded sweep with checkpoint/resume (see DESIGN.md):
+ * Sharded sweep with checkpoint/resume (see DESIGN.md §7):
  *   lhrlab snapshot s1.csv --shard 1/3 --checkpoint 50 --resume
  *   lhrlab snapshot s2.csv --shard 2/3 --checkpoint 50 --resume
  *   lhrlab snapshot s3.csv --shard 3/3 --checkpoint 50 --resume
@@ -36,14 +24,16 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
-
-#include <fstream>
 
 #include "core/lab.hh"
 #include "counters/hwcounters.hh"
@@ -67,38 +57,11 @@ namespace
 uint64_t gSeed = lhr::builtinSeed;
 std::optional<lhr::SensorBackend> gSensor;
 
-void
-usage(std::ostream &os)
-{
-    os <<
-        "usage: lhrlab [--seed N] [--sensor hall|rapl] <command> "
-        "[args]\n"
-        "  (--seed default 0xC0FFEE; --sensor default per era)\n"
-        "  list [--names]\n"
-        "  run <study>... | run --all  [--format text|csv|json]\n"
-        "      [--out DIR] [--jobs N] [--no-prewarm]\n"
-        "  processors\n"
-        "  benchmarks [nn|ns|jn|js]\n"
-        "  configs [--45nm]\n"
-        "  measure <proc-id> <bench> [--cores N] [--smt on|off]\n"
-        "          [--clock GHZ] [--turbo on|off]\n"
-        "  aggregate <proc-id> [same options]\n"
-        "  counters <proc-id> <bench>\n"
-        "  rate <proc-id> <bench>\n"
-        "  corun <proc-id> <bench-a> <bench-b>\n"
-        "  snapshot <file.csv> [--45nm] [--shard I/N]\n"
-        "           [--resume] [--checkpoint N]\n"
-        "  merge <out.csv> <in.csv> [in.csv ...]\n"
-        "  compare <before.csv> <after.csv> [tolerance]\n"
-        "  serve --socket PATH [--workers N] [--queue N]\n"
-        "  loadgen --socket PATH [--clients N[,N...]]\n"
-        "          [--requests N] [--keys N] [--deadline MS]\n"
-        "          [--stall MS] [--reps N] [--json FILE]\n";
-}
+void usage(std::ostream &os);
 
 /**
  * A command line we cannot act on: report why, show the usage text
- * on stderr, exit nonzero. Silent-success on garbage (the old atoi
+ * on stderr, exit 2. Silent-success on garbage (the old atoi
  * behaviour) is how a typo in a flag wastes an hour of sweeping.
  */
 [[noreturn]] void
@@ -107,6 +70,140 @@ usageError(const std::string &message)
     std::cerr << "lhrlab: " << message << "\n";
     usage(std::cerr);
     std::exit(2);
+}
+
+/** `text` as an integer in [min, max], or a usage error naming `what`. */
+long
+intArg(const std::string &what, const std::string &text, long min,
+       long max)
+{
+    const lhr::Expected<long> n = lhr::parseInt(text, min, max);
+    if (!n.ok())
+        usageError(what + ": " + n.status().message());
+    return n.value();
+}
+
+/**
+ * `text` as a real in [min, max], or a usage error saying that `what`
+ * takes `takes` (e.g. "milliseconds >= 0").
+ */
+double
+realArg(const std::string &what, const std::string &text,
+        const std::string &takes, double min, double max)
+{
+    const lhr::Expected<double> x = lhr::parseReal(text);
+    if (!x.ok() || x.value() < min || x.value() > max)
+        usageError(what + " takes " + takes + ", got '" + text + "'");
+    return x.value();
+}
+
+constexpr double unbounded = std::numeric_limits<double>::max();
+
+/** A command line as parseArgs() read it. */
+struct Args
+{
+    std::vector<std::string> positional;
+    /** Flag name -> value ("" for a switch); a repeated flag's last wins. */
+    std::map<std::string, std::string> flags;
+
+    bool has(const std::string &flag) const { return flags.count(flag) > 0; }
+
+    /** The value given for `flag`, or `fallback`. */
+    std::string
+    text(const std::string &flag, const std::string &fallback = "") const
+    {
+        const auto it = flags.find(flag);
+        return it == flags.end() ? fallback : it->second;
+    }
+
+    std::optional<long>
+    integer(const std::string &flag, long min, long max) const
+    {
+        if (!has(flag))
+            return std::nullopt;
+        return intArg(flag, text(flag), min, max);
+    }
+
+    std::optional<double>
+    real(const std::string &flag, const std::string &takes, double min,
+         double max) const
+    {
+        if (!has(flag))
+            return std::nullopt;
+        return realArg(flag, text(flag), takes, min, max);
+    }
+
+    std::optional<bool>
+    onOff(const std::string &flag) const
+    {
+        if (!has(flag))
+            return std::nullopt;
+        const std::string value = text(flag);
+        if (value != "on" && value != "off")
+            usageError(flag + " takes on|off, got '" + value + "'");
+        return value == "on";
+    }
+};
+
+/** Whether the space-separated `words` include `word`. */
+bool
+declares(const std::string &words, const std::string &word)
+{
+    std::istringstream in(words);
+    std::string each;
+    while (in >> each) {
+        if (each == word)
+            return true;
+    }
+    return false;
+}
+
+/**
+ * Read tokens[next...] against `flags`, space-separated names where
+ * a trailing '=' marks a flag that takes a value (`--out=` reads
+ * `--out DIR` and `--out=DIR`). Every token not starting with "--" is
+ * positional. With `leading`, stop at the first token `flags` does
+ * not declare (the global options end at the command); otherwise an
+ * undeclared flag is a usage error. `next` is left at the stop.
+ */
+Args
+parseArgs(const std::vector<std::string> &tokens, size_t &next,
+          const std::string &flags, bool leading)
+{
+    Args args;
+    for (; next < tokens.size(); ++next) {
+        const std::string &token = tokens[next];
+        const size_t eq = token.find('=');
+        const std::string name = token.substr(0, eq);
+        const bool isSwitch = declares(flags, name);
+        const bool takesValue = declares(flags, name + "=");
+        if (leading && !isSwitch && !takesValue)
+            break;
+        if (token.rfind("--", 0) != 0) {
+            args.positional.push_back(token);
+        } else if (takesValue) {
+            if (eq == std::string::npos && next + 1 >= tokens.size())
+                usageError("option " + name + " needs a value");
+            args.flags[name] = eq == std::string::npos
+                                   ? tokens[++next]
+                                   : token.substr(eq + 1);
+        } else if (isSwitch && eq == std::string::npos) {
+            args.flags[name] = "";
+        } else {
+            usageError(isSwitch ? "option " + name + " takes no value"
+                                : "unknown option " + name);
+        }
+    }
+    return args;
+}
+
+uint64_t
+seedArg(const std::string &text)
+{
+    const auto seed = lhr::parseSeed(text);
+    if (!seed)
+        usageError("malformed --seed '" + text + "'");
+    return *seed;
 }
 
 const lhr::ProcessorSpec &
@@ -130,47 +227,20 @@ benchArg(const std::string &name)
 }
 
 /**
- * Parse --cores/--smt/--clock/--turbo into a config of `spec`: bad
- * flag syntax exits 2 here; a knob the part cannot take is refused
- * by resolveConfig(), the serve protocol's validator (exit 1).
+ * The --cores/--smt/--clock/--turbo knobs as a config of `spec`: bad
+ * flag syntax exits 2; a knob the part cannot take is refused by
+ * resolveConfig(), the serve protocol's validator (exit 1).
  */
 lhr::MachineConfig
-applyOptions(const lhr::ProcessorSpec &spec,
-             const std::vector<std::string> &args, size_t first)
+configArg(const lhr::ProcessorSpec &spec, const Args &args)
 {
-    auto onOff = [](const std::string &opt, const std::string &value) {
-        if (value != "on" && value != "off")
-            usageError(opt + " takes on|off, got '" + value + "'");
-        return value == "on";
-    };
     lhr::ServeRequest knobs;
     knobs.proc = spec.id;
-    for (size_t i = first; i < args.size(); i += 2) {
-        if (i + 1 >= args.size())
-            usageError("option " + args[i] + " needs a value");
-        const std::string &opt = args[i];
-        const std::string &value = args[i + 1];
-        if (opt == "--cores") {
-            const lhr::Expected<long> cores =
-                lhr::parseInt(value, 1, spec.cores);
-            if (!cores.ok())
-                usageError("--cores must be 1.." +
-                           std::to_string(spec.cores) + " for " +
-                           spec.id + ": " + cores.status().message());
-            knobs.cores = static_cast<int>(cores.value());
-        } else if (opt == "--smt") {
-            knobs.smt = onOff(opt, value);
-        } else if (opt == "--clock") {
-            const lhr::Expected<double> clock = lhr::parseReal(value);
-            if (!clock.ok())
-                usageError("--clock: " + clock.status().message());
-            knobs.clockGhz = clock.value();
-        } else if (opt == "--turbo") {
-            knobs.turbo = onOff(opt, value);
-        } else {
-            usageError("unknown option " + opt);
-        }
-    }
+    if (const auto cores = args.integer("--cores", 1, spec.cores))
+        knobs.cores = static_cast<int>(*cores);
+    knobs.smt = args.onOff("--smt");
+    knobs.clockGhz = args.real("--clock", "GHz", -unbounded, unbounded);
+    knobs.turbo = args.onOff("--turbo");
     const lhr::Expected<lhr::MachineConfig> cfg =
         lhr::resolveConfig(knobs);
     if (!cfg.ok())
@@ -179,7 +249,76 @@ applyOptions(const lhr::ProcessorSpec &spec,
 }
 
 int
-cmdProcessors()
+cmdList(const Args &args)
+{
+    const auto studies = lhr::StudyRegistry::instance().all();
+    if (args.has("--names")) {
+        for (const lhr::Study *study : studies)
+            std::cout << study->name() << "\n";
+        return 0;
+    }
+    lhr::TableWriter table;
+    table.addColumn("Study", lhr::TableWriter::Align::Left);
+    table.addColumn("Grid");
+    table.addColumn("Description", lhr::TableWriter::Align::Left);
+    for (const lhr::Study *study : studies) {
+        table.beginRow();
+        table.cell(study->name());
+        table.cell(static_cast<long>(study->grid().size()));
+        table.cell(study->description());
+    }
+    table.print(std::cout);
+    std::cout << "(" << studies.size() << " studies)\n";
+    return 0;
+}
+
+int
+cmdRun(const Args &args)
+{
+    const std::string format = args.text("--format", "text");
+    lhr::StudyOptions options;
+    if (const auto parsed = lhr::parseOutputFormat(format))
+        options.format = *parsed;
+    else
+        usageError("unknown format '" + format + "' (text|csv|json)");
+    options.outDir = args.text("--out");
+    // Strict parse: atoi would quietly turn "banana" into 0 (= the
+    // hardware concurrency), hiding the typo.
+    options.threads =
+        static_cast<int>(args.integer("--jobs", 0, 1024).value_or(0));
+    options.prewarm = !args.has("--no-prewarm");
+    const uint64_t seed =
+        args.has("--seed") ? seedArg(args.text("--seed")) : gSeed;
+
+    const auto &registry = lhr::StudyRegistry::instance();
+    std::vector<const lhr::Study *> studies;
+    if (args.has("--all")) {
+        if (!args.positional.empty())
+            usageError("--all does not combine with study names");
+        studies = registry.all();
+    } else if (args.positional.empty()) {
+        usageError("run needs study names or --all (see: lhrlab list)");
+    }
+    for (const std::string &name : args.positional) {
+        const lhr::Study *study = registry.find(name);
+        if (!study)
+            lhr::fatal("unknown study '" + name +
+                       "' (see: lhrlab list)");
+        studies.push_back(study);
+    }
+    if (options.outDir.empty() && studies.size() > 1 &&
+        options.format != lhr::OutputFormat::Text)
+        usageError("csv/json output of multiple studies needs --out DIR");
+
+    lhr::Lab lab(seed, gSensor);
+    const lhr::Status ran = lhr::runStudies(lab, studies, options);
+    if (!ran.ok())
+        lhr::fatal(ran.message());
+    return 0;
+}
+
+int
+cmdProcessors(const Args &)
 {
     lhr::TableWriter table;
     table.addColumn("Id", lhr::TableWriter::Align::Left);
@@ -213,11 +352,11 @@ cmdProcessors()
 }
 
 int
-cmdBenchmarks(const std::vector<std::string> &args)
+cmdBenchmarks(const Args &args)
 {
     std::optional<lhr::Group> filter;
-    if (args.size() > 2) {
-        const std::string &which = args[2];
+    if (!args.positional.empty()) {
+        const std::string &which = args.positional[0];
         if (which == "nn")
             filter = lhr::Group::NativeNonScalable;
         else if (which == "ns")
@@ -248,11 +387,11 @@ cmdBenchmarks(const std::vector<std::string> &args)
 }
 
 int
-cmdConfigs(const std::vector<std::string> &args)
+cmdConfigs(const Args &args)
 {
-    const bool only45 = args.size() > 2 && args[2] == "--45nm";
-    const auto configs = only45 ? lhr::configurations45nm()
-                                : lhr::standardConfigurations();
+    const auto configs = args.has("--45nm")
+                             ? lhr::configurations45nm()
+                             : lhr::standardConfigurations();
     for (const auto &cfg : configs)
         std::cout << cfg.label() << "\n";
     std::cout << "(" << configs.size() << " configurations)\n";
@@ -260,12 +399,10 @@ cmdConfigs(const std::vector<std::string> &args)
 }
 
 int
-cmdMeasure(const std::vector<std::string> &args)
+cmdMeasure(const Args &args)
 {
-    if (args.size() < 4)
-        lhr::fatal("measure needs <proc-id> <bench>");
-    auto cfg = applyOptions(procArg(args[2]), args, 4);
-    const auto &bench = benchArg(args[3]);
+    const auto cfg = configArg(procArg(args.positional[0]), args);
+    const auto &bench = benchArg(args.positional[1]);
 
     lhr::Lab lab(gSeed, gSensor);
     const auto &m = lab.measure(cfg, bench);
@@ -286,11 +423,9 @@ cmdMeasure(const std::vector<std::string> &args)
 }
 
 int
-cmdAggregate(const std::vector<std::string> &args)
+cmdAggregate(const Args &args)
 {
-    if (args.size() < 3)
-        lhr::fatal("aggregate needs <proc-id>");
-    auto cfg = applyOptions(procArg(args[2]), args, 3);
+    const auto cfg = configArg(procArg(args.positional[0]), args);
     lhr::Lab lab(gSeed, gSensor);
     const auto agg = lab.aggregate(cfg);
     lhr::TableWriter table;
@@ -316,12 +451,10 @@ cmdAggregate(const std::vector<std::string> &args)
 }
 
 int
-cmdCounters(const std::vector<std::string> &args)
+cmdCounters(const Args &args)
 {
-    if (args.size() < 4)
-        lhr::fatal("counters needs <proc-id> <bench>");
-    const auto &spec = procArg(args[2]);
-    const auto &bench = benchArg(args[3]);
+    const auto &spec = procArg(args.positional[0]);
+    const auto &bench = benchArg(args.positional[1]);
     const auto profile =
         lhr::characterizeWorkload(bench, spec, 400000, 7);
 
@@ -346,19 +479,15 @@ cmdCounters(const std::vector<std::string> &args)
     return 0;
 }
 
-} // namespace
-
 int
-cmdRate(const std::vector<std::string> &args)
+cmdRate(const Args &args)
 {
-    if (args.size() < 4)
-        lhr::fatal("rate needs <proc-id> <bench>");
     lhr::Lab lab(gSeed, gSensor);
     lhr::RateRunner rate(lab.runner());
-    auto cfg = lhr::stockConfig(procArg(args[2]));
+    auto cfg = lhr::stockConfig(procArg(args.positional[0]));
     if (cfg.spec->hasTurbo)
         cfg = lhr::withTurbo(cfg, false);
-    const auto &bench = benchArg(args[3]);
+    const auto &bench = benchArg(args.positional[1]);
 
     std::cout << "SPECrate-style sweep of " << bench.name << " on "
               << cfg.label() << ":\n";
@@ -381,31 +510,27 @@ cmdRate(const std::vector<std::string> &args)
 }
 
 int
-cmdCorun(const std::vector<std::string> &args)
+cmdCorun(const Args &args)
 {
-    if (args.size() < 5)
-        lhr::fatal("corun needs <proc-id> <bench-a> <bench-b>");
+    const std::string &benchA = args.positional[1];
+    const std::string &benchB = args.positional[2];
     lhr::Lab lab(gSeed, gSensor);
     lhr::CoRunner corunner(lab.runner());
-    auto cfg = lhr::stockConfig(procArg(args[2]));
+    auto cfg = lhr::stockConfig(procArg(args.positional[0]));
     if (cfg.spec->hasTurbo)
         cfg = lhr::withTurbo(cfg, false);
     if (cfg.smtPerCore > 1)
         cfg = lhr::withSmt(cfg, false);
-    const auto r = corunner.run(cfg, benchArg(args[3]),
-                                benchArg(args[4]));
-    std::cout << args[3] << " + " << args[4] << " on " << cfg.label()
+    const auto r = corunner.run(cfg, benchArg(benchA), benchArg(benchB));
+    std::cout << benchA << " + " << benchB << " on " << cfg.label()
               << ":\n  slowdowns " << lhr::formatFixed(r.slowdownA, 3)
               << " / " << lhr::formatFixed(r.slowdownB, 3)
-              << "\n  LLC share of " << args[3] << ": "
+              << "\n  LLC share of " << benchA << ": "
               << lhr::formatFixed(100.0 * r.llcShareA, 1)
               << "%\n  chip power "
               << lhr::formatFixed(r.powerW, 1) << " W\n";
     return 0;
 }
-
-namespace
-{
 
 /**
  * SIGINT/SIGTERM request a clean wind-down instead of killing the
@@ -430,8 +555,6 @@ installStopHandlers()
     std::signal(SIGTERM, onStopSignal);
 }
 
-} // namespace
-
 /** Parse the `--shard I/N` contract (1-based I, 1 <= I <= N). */
 void
 parseShardSpec(const std::string &value, lhr::SweepOptions &options)
@@ -454,39 +577,17 @@ parseShardSpec(const std::string &value, lhr::SweepOptions &options)
 }
 
 int
-cmdSnapshot(const std::vector<std::string> &args)
+cmdSnapshot(const Args &args)
 {
-    if (args.size() < 3)
-        lhr::fatal("snapshot needs <file.csv>");
-    const std::string &path = args[2];
-
-    bool only45 = false;
-    bool resume = false;
+    const std::string &path = args.positional[0];
     lhr::SweepOptions options{.progress = true};
-    for (size_t i = 3; i < args.size(); ++i) {
-        const std::string &opt = args[i];
-        if (opt == "--45nm") {
-            only45 = true;
-        } else if (opt == "--shard") {
-            if (++i >= args.size())
-                usageError("--shard needs a value (I/N)");
-            parseShardSpec(args[i], options);
-        } else if (opt == "--resume") {
-            resume = true;
-        } else if (opt == "--checkpoint") {
-            if (++i >= args.size())
-                usageError("--checkpoint needs a cell count");
-            const lhr::Expected<long> every =
-                lhr::parseInt(args[i], 1, 1L << 30);
-            if (!every.ok())
-                usageError("--checkpoint: " +
-                           every.status().message());
-            options.checkpointEvery =
-                static_cast<size_t>(every.value());
-            options.checkpointPath = path;
-        } else {
-            usageError("unknown snapshot option " + opt);
-        }
+    options.threads =
+        static_cast<int>(args.integer("--jobs", 0, 1024).value_or(0));
+    if (args.has("--shard"))
+        parseShardSpec(args.text("--shard"), options);
+    if (const auto every = args.integer("--checkpoint", 1, 1L << 30)) {
+        options.checkpointEvery = static_cast<size_t>(*every);
+        options.checkpointPath = path;
     }
 
     // --resume warm-starts from the output file itself: the last
@@ -494,7 +595,7 @@ cmdSnapshot(const std::vector<std::string> &args)
     // file is simply a cold start — the first attempt and a resumed
     // one use the identical command line.
     lhr::ResultStore prior;
-    if (resume) {
+    if (args.has("--resume")) {
         lhr::Expected<lhr::ResultStore> loaded =
             lhr::ResultStore::tryLoadFile(path);
         if (loaded.ok()) {
@@ -520,11 +621,11 @@ cmdSnapshot(const std::vector<std::string> &args)
 
     lhr::Lab lab(gSeed, gSensor);
     // Snapshot through the parallel sweep engine: bit-identical to
-    // a serial sweep, but grid cells fan out across cores (thread
-    // count via LHR_THREADS).
+    // a serial sweep at any --jobs, but grid cells fan out across
+    // cores.
     const auto report =
-        lab.sweep(only45 ? lhr::configurations45nm()
-                         : lhr::standardConfigurations(),
+        lab.sweep(args.has("--45nm") ? lhr::configurations45nm()
+                                     : lhr::standardConfigurations(),
                   lhr::allBenchmarks(), options);
     const bool interrupted = gStopRequested.load();
     auto store = lhr::toStore(report);
@@ -562,41 +663,35 @@ cmdSnapshot(const std::vector<std::string> &args)
 }
 
 int
-cmdMerge(const std::vector<std::string> &args)
+cmdMerge(const Args &args)
 {
-    if (args.size() < 4)
-        lhr::fatal("merge needs <out.csv> and at least one <in.csv>");
+    const std::vector<std::string> &paths = args.positional;
     lhr::ResultStore merged;
-    for (size_t i = 3; i < args.size(); ++i) {
+    for (size_t i = 1; i < paths.size(); ++i) {
         lhr::Expected<lhr::ResultStore> shard =
-            lhr::ResultStore::tryLoadFile(args[i]);
+            lhr::ResultStore::tryLoadFile(paths[i]);
         if (!shard.ok())
             lhr::fatal("merge: " + shard.status().toString());
         const lhr::Status ok = merged.merge(shard.value());
         if (!ok.ok())
-            lhr::fatal("merge: " + args[i] + ": " + ok.toString());
+            lhr::fatal("merge: " + paths[i] + ": " + ok.toString());
     }
-    const lhr::Status saved = merged.saveToFile(args[2]);
+    const lhr::Status saved = merged.saveToFile(paths[0]);
     if (!saved.ok())
         lhr::fatal("merge: " + saved.toString());
-    std::cout << "merged " << (args.size() - 3) << " stores, "
-              << merged.size() << " rows, into " << args[2] << "\n";
+    std::cout << "merged " << (paths.size() - 1) << " stores, "
+              << merged.size() << " rows, into " << paths[0] << "\n";
     return 0;
 }
 
 int
-cmdCompare(const std::vector<std::string> &args)
+cmdCompare(const Args &args)
 {
-    if (args.size() < 4)
-        lhr::fatal("compare needs <before.csv> <after.csv>");
-    double tolerance = 0.02;
-    if (args.size() > 4) {
-        const lhr::Expected<double> parsed = lhr::parseReal(args[4]);
-        if (!parsed.ok() || parsed.value() < 0.0)
-            usageError("tolerance must be a non-negative number, "
-                       "got '" + args[4] + "'");
-        tolerance = parsed.value();
-    }
+    const double tolerance =
+        args.positional.size() > 2
+            ? realArg("tolerance", args.positional[2],
+                      "a non-negative number", 0.0, unbounded)
+            : 0.02;
     auto loadOrDie = [](const std::string &path) {
         lhr::Expected<lhr::ResultStore> store =
             lhr::ResultStore::tryLoadFile(path);
@@ -604,8 +699,8 @@ cmdCompare(const std::vector<std::string> &args)
             lhr::fatal("compare: " + store.status().toString());
         return std::move(store).value();
     };
-    const auto before = loadOrDie(args[2]);
-    const auto after = loadOrDie(args[3]);
+    const auto before = loadOrDie(args.positional[0]);
+    const auto after = loadOrDie(args.positional[1]);
     const auto cmp = lhr::compareStores(before, after, tolerance);
 
     std::cout << "compared " << cmp.compared << " rows at +-"
@@ -638,48 +733,17 @@ cmdCompare(const std::vector<std::string> &args)
     return 1;
 }
 
-/** A `--deadline` value: milliseconds within 0..maxDeadlineMs. */
-double
-deadlineArg(const std::string &value)
-{
-    const lhr::Expected<double> ms = lhr::parseReal(value);
-    if (!ms.ok() || ms.value() < 0.0 || ms.value() > lhr::maxDeadlineMs)
-        usageError(lhr::msgOf("--deadline takes milliseconds 0..",
-                              static_cast<long>(lhr::maxDeadlineMs),
-                              ", got '", value, "'"));
-    return ms.value();
-}
-
 int
-cmdServe(const std::vector<std::string> &args)
+cmdServe(const Args &args)
 {
     lhr::ServeOptions options;
-    for (size_t i = 2; i < args.size(); i += 2) {
-        if (i + 1 >= args.size())
-            usageError("option " + args[i] + " needs a value");
-        const std::string &opt = args[i];
-        const std::string &value = args[i + 1];
-        if (opt == "--socket") {
-            options.socketPath = value;
-        } else if (opt == "--workers") {
-            const lhr::Expected<long> workers =
-                lhr::parseInt(value, 1, 256);
-            if (!workers.ok())
-                usageError("--workers: " +
-                           workers.status().message());
-            options.workers = static_cast<int>(workers.value());
-        } else if (opt == "--queue") {
-            const lhr::Expected<long> depth =
-                lhr::parseInt(value, 1, 1 << 20);
-            if (!depth.ok())
-                usageError("--queue: " + depth.status().message());
-            options.queueDepth = static_cast<size_t>(depth.value());
-        } else {
-            usageError("unknown serve option " + opt);
-        }
-    }
+    options.socketPath = args.text("--socket");
     if (options.socketPath.empty())
         usageError("serve needs --socket PATH");
+    if (const auto workers = args.integer("--workers", 1, 256))
+        options.workers = static_cast<int>(*workers);
+    if (const auto depth = args.integer("--queue", 1, 1 << 20))
+        options.queueDepth = static_cast<size_t>(*depth);
 
     // SIGINT/SIGTERM drain: stop accepting, flush admitted work,
     // then exit 0 — a supervisor restarting the daemon never sees
@@ -709,63 +773,36 @@ struct LoadgenSeries
 };
 
 int
-cmdLoadgen(const std::vector<std::string> &args)
+cmdLoadgen(const Args &args)
 {
     lhr::LoadgenOptions options;
-    std::vector<int> clientCounts;
-    int repsPerPoint = 1;
-    std::string jsonPath;
-    for (size_t i = 2; i < args.size(); i += 2) {
-        if (i + 1 >= args.size())
-            usageError("option " + args[i] + " needs a value");
-        const std::string &opt = args[i];
-        const std::string &value = args[i + 1];
-        if (opt == "--socket") {
-            options.socketPath = value;
-        } else if (opt == "--clients") {
-            std::stringstream list(value);
-            std::string item;
-            while (std::getline(list, item, ',')) {
-                const lhr::Expected<long> n =
-                    lhr::parseInt(item, 1, 4096);
-                if (!n.ok())
-                    usageError("--clients: " + n.status().message());
-                clientCounts.push_back(static_cast<int>(n.value()));
-            }
-        } else if (opt == "--requests") {
-            const lhr::Expected<long> n =
-                lhr::parseInt(value, 1, 1L << 30);
-            if (!n.ok())
-                usageError("--requests: " + n.status().message());
-            options.requestsPerClient = static_cast<int>(n.value());
-        } else if (opt == "--keys") {
-            const lhr::Expected<long> n = lhr::parseInt(value, 1, 32);
-            if (!n.ok())
-                usageError("--keys: " + n.status().message());
-            options.keys = static_cast<int>(n.value());
-        } else if (opt == "--deadline") {
-            options.deadlineMs = deadlineArg(value);
-        } else if (opt == "--stall") {
-            const lhr::Expected<double> ms = lhr::parseReal(value);
-            if (!ms.ok() || ms.value() < 0.0)
-                usageError("--stall takes milliseconds >= 0, got '" +
-                           value + "'");
-            options.stallMs = ms.value();
-        } else if (opt == "--reps") {
-            const lhr::Expected<long> n = lhr::parseInt(value, 1, 64);
-            if (!n.ok())
-                usageError("--reps: " + n.status().message());
-            repsPerPoint = static_cast<int>(n.value());
-        } else if (opt == "--json") {
-            jsonPath = value;
-        } else {
-            usageError("unknown loadgen option " + opt);
-        }
-    }
+    options.socketPath = args.text("--socket");
     if (options.socketPath.empty())
         usageError("loadgen needs --socket PATH");
+    std::vector<int> clientCounts;
+    std::stringstream items(args.text("--clients"));
+    std::string item;
+    while (std::getline(items, item, ','))
+        clientCounts.push_back(
+            static_cast<int>(intArg("--clients", item, 1, 4096)));
     if (clientCounts.empty())
         clientCounts.push_back(options.clients);
+    if (const auto n = args.integer("--requests", 1, 1L << 30))
+        options.requestsPerClient = static_cast<int>(*n);
+    if (const auto n = args.integer("--keys", 1, 32))
+        options.keys = static_cast<int>(*n);
+    options.deadlineMs =
+        args.real("--deadline",
+                  lhr::msgOf("milliseconds 0..",
+                             static_cast<long>(lhr::maxDeadlineMs)),
+                  0.0, lhr::maxDeadlineMs)
+            .value_or(0.0);
+    options.stallMs =
+        args.real("--stall", "milliseconds >= 0", 0.0, unbounded)
+            .value_or(0.0);
+    const int repsPerPoint =
+        static_cast<int>(args.integer("--reps", 1, 64).value_or(1));
+    const std::string jsonPath = args.text("--json");
 
     std::vector<LoadgenSeries> series;
     for (const int clients : clientCounts) {
@@ -870,76 +907,110 @@ cmdLoadgen(const std::vector<std::string> &args)
     return 0;
 }
 
+/** One command: its grammar, its usage text and its body. */
+struct Command
+{
+    const char *name;
+    const char *synopsis; ///< usage text after the name
+    const char *flags;    ///< parseArgs() flags: "--names --out="
+    size_t minArgs;       ///< positional arguments
+    size_t maxArgs;
+    int (*run)(const Args &);
+};
+
+constexpr size_t many = SIZE_MAX;
+
+const Command commands[] = {
+    {"list", "[--names]", "--names", 0, 0, cmdList},
+    {"run",
+     "<study>... | run --all  [--format text|csv|json]\n"
+     "      [--out DIR] [--jobs N] [--no-prewarm] [--seed N]",
+     "--all --format= --out= --jobs= --no-prewarm --seed=", 0, many,
+     cmdRun},
+    {"processors", "", "", 0, 0, cmdProcessors},
+    {"benchmarks", "[nn|ns|jn|js]", "", 0, 1, cmdBenchmarks},
+    {"configs", "[--45nm]", "--45nm", 0, 0, cmdConfigs},
+    {"measure",
+     "<proc-id> <bench> [--cores N] [--smt on|off]\n"
+     "          [--clock GHZ] [--turbo on|off]",
+     "--cores= --smt= --clock= --turbo=", 2, 2, cmdMeasure},
+    {"aggregate", "<proc-id> [same options]",
+     "--cores= --smt= --clock= --turbo=", 1, 1, cmdAggregate},
+    {"counters", "<proc-id> <bench>", "", 2, 2, cmdCounters},
+    {"rate", "<proc-id> <bench>", "", 2, 2, cmdRate},
+    {"corun", "<proc-id> <bench-a> <bench-b>", "", 3, 3, cmdCorun},
+    {"snapshot",
+     "<file.csv> [--45nm] [--shard I/N] [--jobs N]\n"
+     "           [--resume] [--checkpoint N]",
+     "--45nm --shard= --jobs= --resume --checkpoint=", 1, 1,
+     cmdSnapshot},
+    {"merge", "<out.csv> <in.csv> [in.csv ...]", "", 2, many, cmdMerge},
+    {"compare", "<before.csv> <after.csv> [tolerance]", "", 2, 3,
+     cmdCompare},
+    {"serve", "--socket PATH [--workers N] [--queue N]",
+     "--socket= --workers= --queue=", 0, 0, cmdServe},
+    {"loadgen",
+     "--socket PATH [--clients N[,N...]]\n"
+     "          [--requests N] [--keys N] [--deadline MS]\n"
+     "          [--stall MS] [--reps N] [--json FILE]",
+     "--socket= --clients= --requests= --keys= --deadline= --stall= "
+     "--reps= --json=",
+     0, 0, cmdLoadgen},
+};
+
+void
+usage(std::ostream &os)
+{
+    os << "usage: lhrlab [--seed N] [--sensor hall|rapl] <command> "
+          "[args]\n"
+          "  (--seed default 0xC0FFEE; --sensor default per era)\n";
+    for (const Command &command : commands) {
+        os << "  " << command.name;
+        if (*command.synopsis != '\0')
+            os << " " << command.synopsis;
+        os << "\n";
+    }
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> args(argv, argv + argc);
-
-    // Global options come before the command.
-    size_t first = 1;
-    while (first < args.size() &&
-           (args[first] == "--seed" || args[first] == "--sensor")) {
-        if (first + 1 >= args.size())
-            usageError("option " + args[first] + " needs a value");
-        if (args[first] == "--seed") {
-            const auto seed = lhr::parseSeed(args[first + 1]);
-            if (!seed)
-                usageError("malformed --seed '" + args[first + 1] +
-                           "'");
-            gSeed = *seed;
-        } else {
-            gSensor = lhr::parseSensorBackend(args[first + 1]);
-            if (!gSensor)
-                usageError("--sensor takes hall|rapl, got '" +
-                           args[first + 1] + "'");
-        }
-        args.erase(args.begin() + first, args.begin() + first + 2);
+    const std::vector<std::string> tokens(argv + 1, argv + argc);
+    size_t next = 0;
+    const Args global = parseArgs(tokens, next, "--seed= --sensor=", true);
+    if (global.has("--seed"))
+        gSeed = seedArg(global.text("--seed"));
+    if (global.has("--sensor")) {
+        gSensor = lhr::parseSensorBackend(global.text("--sensor"));
+        if (!gSensor)
+            usageError("--sensor takes hall|rapl, got '" +
+                       global.text("--sensor") + "'");
     }
 
-    if (args.size() < 2) {
+    if (next == tokens.size()) {
         usage(std::cerr);
         return 2;
     }
-    const std::string &command = args[1];
-    if (command == "help" || command == "--help" || command == "-h") {
+    const std::string &name = tokens[next++];
+    if (name == "help" || name == "--help" || name == "-h") {
         usage(std::cout);
         return 0;
     }
-    if (command == "list") {
-        lhr::listStudies(std::cout,
-                         args.size() > 2 && args[2] == "--names");
-        return 0;
+    for (const Command &command : commands) {
+        if (name != command.name)
+            continue;
+        const Args args = parseArgs(tokens, next, command.flags, false);
+        const size_t given = args.positional.size();
+        if (given < command.minArgs)
+            usageError(lhr::msgOf(name, " needs ",
+                                  command.minArgs, " argument(s), got ",
+                                  given));
+        if (given > command.maxArgs)
+            usageError(name + ": unexpected argument '" +
+                       args.positional[command.maxArgs] + "'");
+        return command.run(args);
     }
-    if (command == "run") {
-        return lhr::runStudyCommand(
-            std::vector<std::string>(args.begin() + 2, args.end()),
-            gSeed, gSensor);
-    }
-    if (command == "processors")
-        return cmdProcessors();
-    if (command == "benchmarks")
-        return cmdBenchmarks(args);
-    if (command == "configs")
-        return cmdConfigs(args);
-    if (command == "measure")
-        return cmdMeasure(args);
-    if (command == "aggregate")
-        return cmdAggregate(args);
-    if (command == "counters")
-        return cmdCounters(args);
-    if (command == "rate")
-        return cmdRate(args);
-    if (command == "corun")
-        return cmdCorun(args);
-    if (command == "snapshot")
-        return cmdSnapshot(args);
-    if (command == "merge")
-        return cmdMerge(args);
-    if (command == "compare")
-        return cmdCompare(args);
-    if (command == "serve")
-        return cmdServe(args);
-    if (command == "loadgen")
-        return cmdLoadgen(args);
-    usageError("unknown command '" + command + "'");
+    usageError("unknown command '" + name + "'");
 }

@@ -307,6 +307,12 @@ gaussKernelAvx2OrNull()
     return nullptr;
 }
 
+SampleQuantizeFn
+sampleQuantizeAvx2OrNull()
+{
+    return nullptr;
+}
+
 } // namespace lhr
 
 #endif

@@ -1,5 +1,6 @@
 #include "serve/server.hh"
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <sstream>
@@ -369,8 +370,24 @@ LabServer::serve()
         return listener.status();
     inform("serve: listening on " + impl->options.socketPath);
 
-    std::vector<std::thread> connThreads;
+    // One reader thread per connection. A finished one is joined on
+    // the loop's next pass, so a closed connection does not keep its
+    // stack mapped until drain.
+    struct ConnThread
+    {
+        std::thread thread;
+        std::shared_ptr<std::atomic<bool>> done;
+    };
+    std::vector<ConnThread> connThreads;
     while (!impl->draining.load()) {
+        for (auto it = connThreads.begin(); it != connThreads.end();) {
+            if (it->done->load()) {
+                it->thread.join();
+                it = connThreads.erase(it);
+            } else {
+                ++it;
+            }
+        }
         if (impl->options.stopFlag != nullptr &&
             impl->options.stopFlag->load()) {
             impl->requestDrain();
@@ -391,8 +408,12 @@ LabServer::serve()
             std::lock_guard<std::mutex> lock(impl->connMutex);
             impl->conns.push_back(conn);
         }
-        connThreads.emplace_back(
-            [this, conn] { impl->connectionLoop(conn); });
+        auto done = std::make_shared<std::atomic<bool>>(false);
+        connThreads.push_back({std::thread([this, conn, done] {
+                                   impl->connectionLoop(conn);
+                                   done->store(true);
+                               }),
+                               done});
     }
 
     // Drain, in order: stop accepting (done — the loop exited), wake
@@ -407,8 +428,8 @@ LabServer::serve()
         for (const std::shared_ptr<ClientConn> &conn : impl->conns)
             conn->sock.shutdownRead();
     }
-    for (std::thread &t : connThreads)
-        t.join();
+    for (ConnThread &c : connThreads)
+        c.thread.join();
     impl->pool.wait();
     {
         std::lock_guard<std::mutex> lock(impl->connMutex);

@@ -1,6 +1,5 @@
 #include "study/study.hh"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -9,9 +8,7 @@
 
 #include "core/lab.hh"
 #include "study/builtin.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
-#include "util/table.hh"
 #include "util/thread_pool.hh"
 
 namespace lhr
@@ -158,17 +155,10 @@ runStudy(Lab &lab, const Study &study, Sink &sink, OutputFormat format,
     sink.close();
 }
 
-int
+Status
 runStudies(Lab &lab, const std::vector<const Study *> &studies,
            const StudyOptions &options)
 {
-    if (studies.empty())
-        fatal("no studies selected (see: lhrlab list)");
-    if (options.outDir.empty() && studies.size() > 1 &&
-        options.format != OutputFormat::Text) {
-        fatal("csv/json output of multiple studies needs --out DIR");
-    }
-
     if (options.prewarm) {
         const auto grid = unionGrid(studies);
         if (!grid.empty())
@@ -179,8 +169,9 @@ runStudies(Lab &lab, const std::vector<const Study *> &studies,
         std::error_code ec;
         std::filesystem::create_directories(options.outDir, ec);
         if (ec)
-            fatal("cannot create " + options.outDir + ": " +
-                  ec.message());
+            return Status::error(StatusCode::IoError,
+                                 "cannot create " + options.outDir +
+                                     ": " + ec.message());
     }
 
     size_t index = 0;
@@ -194,7 +185,8 @@ runStudies(Lab &lab, const std::vector<const Study *> &studies,
                    outputFormatExtension(options.format);
             file.open(path, std::ios::binary);
             if (!file)
-                fatal("cannot write " + path);
+                return Status::error(StatusCode::IoError,
+                                     "cannot write " + path);
             os = &file;
         } else if (studies.size() > 1) {
             // Several text reports share stdout; banner them. A
@@ -212,118 +204,7 @@ runStudies(Lab &lab, const std::vector<const Study *> &studies,
                       << study->name() << " -> " << path << "\n";
         }
     }
-    return 0;
-}
-
-// ---- CLI --------------------------------------------------------------
-
-void
-listStudies(std::ostream &os, bool namesOnly)
-{
-    const auto studies = StudyRegistry::instance().all();
-    if (namesOnly) {
-        for (const Study *study : studies)
-            os << study->name() << "\n";
-        return;
-    }
-    TableWriter table;
-    table.addColumn("Study", TableWriter::Align::Left);
-    table.addColumn("Grid");
-    table.addColumn("Description", TableWriter::Align::Left);
-    for (const Study *study : studies) {
-        table.beginRow();
-        table.cell(study->name());
-        table.cell(static_cast<long>(study->grid().size()));
-        table.cell(study->description());
-    }
-    table.print(os);
-    os << "(" << studies.size() << " studies)\n";
-}
-
-int
-runStudyCommand(const std::vector<std::string> &args, uint64_t seed,
-                std::optional<SensorBackend> sensor)
-{
-    StudyOptions options;
-    std::vector<std::string> names;
-    bool all = false;
-
-    auto valueOf = [&](const std::string &opt, size_t &i,
-                       const std::string &inline_value,
-                       bool has_inline) -> std::string {
-        if (has_inline)
-            return inline_value;
-        if (i + 1 >= args.size())
-            fatal("option " + opt + " needs a value");
-        return args[++i];
-    };
-
-    for (size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        std::string opt = arg, inlineValue;
-        bool hasInline = false;
-        if (const auto eq = arg.find('=');
-            arg.rfind("--", 0) == 0 && eq != std::string::npos) {
-            opt = arg.substr(0, eq);
-            inlineValue = arg.substr(eq + 1);
-            hasInline = true;
-        }
-
-        if (opt == "--all") {
-            all = true;
-        } else if (opt == "--format") {
-            const auto value =
-                valueOf(opt, i, inlineValue, hasInline);
-            const auto format = parseOutputFormat(value);
-            if (!format)
-                fatal("unknown format '" + value +
-                      "' (text|csv|json)");
-            options.format = *format;
-        } else if (opt == "--out") {
-            options.outDir = valueOf(opt, i, inlineValue, hasInline);
-        } else if (opt == "--seed") {
-            const auto value =
-                valueOf(opt, i, inlineValue, hasInline);
-            const auto parsed = parseSeed(value);
-            if (!parsed)
-                fatal("malformed --seed '" + value + "'");
-            seed = *parsed;
-        } else if (opt == "--jobs") {
-            const auto value =
-                valueOf(opt, i, inlineValue, hasInline);
-            // Strict parse: atoi would quietly turn "banana" into 0
-            // (= hardware concurrency), hiding the typo.
-            const Expected<long> jobs = parseInt(value, 0, 1024);
-            if (!jobs.ok())
-                fatal("--jobs: " + jobs.status().message());
-            options.threads = static_cast<int>(jobs.value());
-        } else if (opt == "--no-prewarm") {
-            options.prewarm = false;
-        } else if (arg.rfind("--", 0) == 0) {
-            fatal("unknown option " + arg);
-        } else {
-            names.push_back(arg);
-        }
-    }
-
-    const auto &registry = StudyRegistry::instance();
-    std::vector<const Study *> studies;
-    if (all) {
-        if (!names.empty())
-            fatal("--all does not combine with study names");
-        studies = registry.all();
-    } else {
-        for (const auto &name : names) {
-            const Study *study = registry.find(name);
-            if (!study)
-                fatal("unknown study '" + name +
-                      "' (see: lhrlab list)");
-            studies.push_back(study);
-        }
-    }
-
-    Lab lab(seed, sensor);
-    return runStudies(lab, studies, options);
+    return Status();
 }
 
 } // namespace lhr

@@ -22,7 +22,6 @@
 #ifndef LHR_STUDY_STUDY_HH
 #define LHR_STUDY_STUDY_HH
 
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -34,7 +33,7 @@
 
 #include "analysis/report.hh"
 #include "machine/processor.hh"
-#include "sensor/sensor.hh"
+#include "util/status.hh"
 
 namespace lhr
 {
@@ -154,7 +153,7 @@ class StudyRegistry
     std::map<std::string, size_t> byName;
 };
 
-/** Options of a study run (the shared CLI surface). */
+/** Options of a study run (`lhrlab run`'s flags). */
 struct StudyOptions
 {
     OutputFormat format = OutputFormat::Text;
@@ -164,7 +163,7 @@ struct StudyOptions
 
     /**
      * Worker threads of the prewarm pass and of studies that
-     * parallelize their own compute; 0 = ThreadPool default.
+     * parallelize their own compute; 0 = the hardware concurrency.
      */
     int threads = 0;
 
@@ -181,29 +180,21 @@ std::vector<MachineConfig> unionGrid(
 
 /**
  * Run one study into an explicit sink (no prewarm; test seam).
- * `threads` becomes ReportContext::jobs(); 0 = ThreadPool default.
+ * `threads` becomes ReportContext::jobs(); 0 = the hardware concurrency.
  */
 void runStudy(Lab &lab, const Study &study, Sink &sink,
               OutputFormat format = OutputFormat::Text, int threads = 0);
 
 /**
  * Run studies in order: one union-grid prewarm, then each study
- * serially into stdout or `<outDir>/<name>.<ext>`.
+ * serially into stdout or `<outDir>/<name>.<ext>`. An IoError when
+ * the directory or a file cannot be written. Several csv/json
+ * studies need an `outDir`: on stdout their documents would run
+ * together.
  */
-int runStudies(Lab &lab, const std::vector<const Study *> &studies,
-               const StudyOptions &options);
-
-/**
- * The `lhrlab run` command body. `args` holds study names (or
- * --all) and options: --format=text|csv|json, --out DIR, --seed N,
- * --jobs N, --no-prewarm. The studies run on a Lab built from `seed`
- * (a --seed in `args` replaces it) and `sensor`.
- */
-int runStudyCommand(const std::vector<std::string> &args, uint64_t seed,
-                    std::optional<SensorBackend> sensor);
-
-/** List registered studies; names only (for scripting) or a table. */
-void listStudies(std::ostream &os, bool namesOnly);
+[[nodiscard]] Status runStudies(Lab &lab,
+                                const std::vector<const Study *> &studies,
+                                const StudyOptions &options);
 
 /** Register every builtin study (idempotent via instance()). */
 void registerBuiltinStudies(StudyRegistry &registry);

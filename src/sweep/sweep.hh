@@ -16,9 +16,8 @@
  * still returns the cells in deterministic row-major (config-major)
  * order, each carrying the same bits a serial sweep would produce.
  *
- * Thread count: SweepOptions::threads, 0 meaning the LHR_THREADS
- * environment variable or, failing that, the hardware concurrency
- * (see ThreadPool::defaultThreadCount).
+ * Thread count: SweepOptions::threads, 0 meaning the hardware
+ * concurrency (see ThreadPool::defaultThreadCount).
  *
  * Observability: per-cell wall time, runner cache hit/miss deltas,
  * total wall time and throughput (experiments/sec) come back in the

@@ -1,6 +1,5 @@
 #include "util/thread_pool.hh"
 
-#include <cstdlib>
 #include <string>
 
 #include "util/logging.hh"
@@ -19,14 +18,6 @@ thread_local const ThreadPool *currentPool = nullptr;
 int
 ThreadPool::defaultThreadCount()
 {
-    if (const char *env = std::getenv("LHR_THREADS")) {
-        char *end = nullptr;
-        const long n = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && n > 0 && n <= 1024)
-            return static_cast<int>(n);
-        warn("LHR_THREADS='" + std::string(env) +
-             "' is not a positive integer; ignoring");
-    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -76,9 +76,9 @@ class ThreadPool
     [[nodiscard]] int threadCount() const { return static_cast<int>(workers.size()); }
 
     /**
-     * The pool size used when none is requested: the LHR_THREADS
-     * environment variable when set to a positive integer, otherwise
-     * std::thread::hardware_concurrency() (at least 1).
+     * The pool size used when none is requested:
+     * std::thread::hardware_concurrency() (at least 1). Front ends
+     * take an explicit count as a flag (`lhrlab run/snapshot --jobs`).
      */
     [[nodiscard]] static int defaultThreadCount();
 

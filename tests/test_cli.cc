@@ -2,18 +2,24 @@
  * @file
  * Exit-code and error-path tests of the lhrlab command-line front
  * end, run against the real binary (path baked in by CMake as
- * LHR_LHRLAB_BIN). The contract under test: a command line lhrlab
- * cannot act on exits nonzero with a diagnostic — never the old
- * atoi-style silent success where "--jobs banana" quietly meant
- * something else.
+ * LHR_LHRLAB_BIN). The contract under test: a command line that
+ * breaks lhrlab's one grammar (unknown command or flag, missing or
+ * malformed value, wrong number of arguments) exits 2 with the usage
+ * text; a failed lookup or run exits 1 with a `fatal:` line — never
+ * the old atoi-style silent success where "--jobs banana" quietly
+ * meant something else.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <sys/wait.h>
 
@@ -138,21 +144,21 @@ TEST(Cli, SensorFlagForcesEveryRig)
 TEST(Cli, UnknownRunFormatExitsNonzero)
 {
     const CliResult r = runCli("run fig04 --format=yaml");
-    EXPECT_EQ(r.exitCode, 1);
+    EXPECT_EQ(r.exitCode, 2);
     EXPECT_TRUE(mentions(r, "unknown format"));
 }
 
 TEST(Cli, NonNumericJobsExitsNonzero)
 {
     const CliResult r = runCli("run fig04 --jobs banana");
-    EXPECT_EQ(r.exitCode, 1);
+    EXPECT_EQ(r.exitCode, 2);
     EXPECT_TRUE(mentions(r, "--jobs"));
 }
 
 TEST(Cli, UnknownRunOptionExitsNonzero)
 {
     const CliResult r = runCli("run fig04 --frobnicate");
-    EXPECT_EQ(r.exitCode, 1);
+    EXPECT_EQ(r.exitCode, 2);
     EXPECT_TRUE(mentions(r, "unknown option"));
 }
 
@@ -176,8 +182,99 @@ TEST(Cli, UnwritableOutDirExitsNonzero)
 TEST(Cli, MultiStudyJsonWithoutOutDirExitsNonzero)
 {
     const CliResult r = runCli("run --all --format=json");
-    EXPECT_EQ(r.exitCode, 1);
+    EXPECT_EQ(r.exitCode, 2);
     EXPECT_TRUE(mentions(r, "--out"));
+}
+
+TEST(Cli, EveryCommandRejectsUnknownFlagsAndSurplusArguments)
+{
+    // A valid command line per command, and one positional argument
+    // too many (none for merge, which takes any number of inputs).
+    struct Case
+    {
+        std::string command;
+        std::string line;
+        std::string surplus;
+    };
+    const std::string csv = testing::TempDir() + "cli_grammar.csv";
+    const std::vector<Case> cases = {
+        {"list", "list", "extra"},
+        {"run", "run --all", "fig04"},
+        {"processors", "processors", "extra"},
+        {"benchmarks", "benchmarks nn", "extra"},
+        {"configs", "configs", "extra"},
+        {"measure", "measure \"i7 (45)\" mcf", "extra"},
+        {"aggregate", "aggregate \"i7 (45)\"", "extra"},
+        {"counters", "counters \"i7 (45)\" mcf", "extra"},
+        {"rate", "rate \"i7 (45)\" mcf", "extra"},
+        {"corun", "corun \"i7 (45)\" mcf gcc", "extra"},
+        {"snapshot", "snapshot " + csv, "extra"},
+        {"merge", "merge " + csv + " /no/such/in.csv", ""},
+        {"compare", "compare /no/such/a.csv /no/such/b.csv 0.1", "extra"},
+        {"serve", "serve --socket /nonexistent/s.sock", "extra"},
+        {"loadgen", "loadgen --socket /nonexistent/s.sock", "extra"},
+    };
+
+    // The cases cover every command the usage text lists.
+    const CliResult help = runCli("help");
+    std::istringstream lines(help.output);
+    std::string line;
+    size_t listed = 0;
+    while (std::getline(lines, line)) {
+        if (line.size() < 3 || line.rfind("  ", 0) != 0 ||
+            !std::islower(static_cast<unsigned char>(line[2])))
+            continue;
+        const std::string name = line.substr(2, line.find(' ', 2) - 2);
+        ++listed;
+        EXPECT_TRUE(std::any_of(cases.begin(), cases.end(),
+                                [&](const Case &c) {
+                                    return c.command == name;
+                                }))
+            << "no case for " << name;
+    }
+    EXPECT_EQ(listed, cases.size()) << help.output;
+
+    for (const Case &c : cases) {
+        const CliResult flag = runCli(c.line + " --bogus");
+        EXPECT_EQ(flag.exitCode, 2) << c.line << "\n" << flag.output;
+        EXPECT_TRUE(mentions(flag, "unknown option --bogus"))
+            << flag.output;
+        if (c.surplus.empty())
+            continue;
+        const CliResult extra = runCli(c.line + " " + c.surplus);
+        EXPECT_EQ(extra.exitCode, 2) << c.line << "\n" << extra.output;
+        EXPECT_TRUE(mentions(extra, "usage: lhrlab")) << extra.output;
+    }
+    std::remove(csv.c_str());
+}
+
+TEST(Cli, FlagEqualsValueReadsLikeFlagSpaceValue)
+{
+    const CliResult spaced =
+        runCli("measure \"i7 (45)\" mcf --cores 2 --smt off --clock 1.6");
+    const CliResult joined =
+        runCli("measure \"i7 (45)\" mcf --cores=2 --smt=off --clock=1.6");
+    EXPECT_EQ(spaced.exitCode, 0) << spaced.output;
+    EXPECT_EQ(joined.exitCode, 0) << joined.output;
+    EXPECT_EQ(joined.output, spaced.output);
+
+    const std::string path = testing::TempDir() + "cli_eq_snapshot.csv";
+    const CliResult snapshot =
+        runCli("snapshot " + path + " --45nm --shard=1/64 --jobs=1");
+    EXPECT_EQ(snapshot.exitCode, 0) << snapshot.output;
+    EXPECT_TRUE(mentions(snapshot, "(shard 1/64)")) << snapshot.output;
+    std::remove(path.c_str());
+
+    // Nothing can bind or answer at these paths: with the flags read,
+    // serve and loadgen fail at run time (exit 1), not in the grammar.
+    const CliResult serve = runCli(
+        "serve --socket=/nonexistent/dir/s.sock --workers=2 --queue=4");
+    EXPECT_EQ(serve.exitCode, 1) << serve.output;
+    EXPECT_TRUE(mentions(serve, "fatal: serve:")) << serve.output;
+    const CliResult loadgen = runCli(
+        "loadgen --socket=/nonexistent/s.sock --clients=1 --requests=1");
+    EXPECT_EQ(loadgen.exitCode, 1) << loadgen.output;
+    EXPECT_TRUE(mentions(loadgen, "fatal: loadgen:")) << loadgen.output;
 }
 
 TEST(Cli, BadMeasureCoresExitsTwo)
@@ -281,7 +378,7 @@ TEST(Cli, SnapshotRejectsNonNumericCheckpoint)
 TEST(Cli, MergeWithoutInputsExitsNonzero)
 {
     const CliResult r = runCli("merge out.csv");
-    EXPECT_EQ(r.exitCode, 1);
+    EXPECT_EQ(r.exitCode, 2);
     EXPECT_TRUE(mentions(r, "merge needs"));
 }
 

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -657,6 +658,61 @@ TEST(Serve, OversizedFrameDropsTheConnectionButNotTheDaemon)
     const Socket client = daemon.connect();
     const JsonValue pong = roundTrip(client, "{\"op\":\"ping\"}");
     EXPECT_EQ(pong.stringOr("status", ""), "ok");
+}
+
+namespace
+{
+
+/** This process's mapped address space in KiB; -1 where unknown. */
+long
+vmSizeKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string field;
+    while (status >> field) {
+        if (field == "VmSize:") {
+            long kb = -1;
+            status >> kb;
+            return kb;
+        }
+    }
+    return -1;
+}
+
+} // namespace
+
+TEST(Serve, ClosedConnectionsReleaseTheirThreads)
+{
+    // Every connection gets a reader thread and its stack (8 MiB
+    // mapped by default). The daemon must join a finished one while
+    // it keeps accepting, not only at drain, or a long-running
+    // daemon's address space grows with every client it ever served.
+    ServeOptions options;
+    TestDaemon daemon(options);
+    auto ping = [](const Socket &sock, long id) {
+        const JsonValue pong = roundTrip(
+            sock, "{\"op\":\"ping\",\"id\":" + std::to_string(id) + "}");
+        EXPECT_EQ(pong.stringOr("status", ""), "ok");
+    };
+    // Eight connections at once first: the allocator reserves a
+    // malloc arena (64 MiB of address space) per concurrently live
+    // thread and reuses it after the thread exits, so the sequential
+    // connections below find theirs already reserved.
+    {
+        std::vector<Socket> open;
+        for (long id = 1; id <= 8; ++id) {
+            open.push_back(daemon.connect());
+            ping(open.back(), id);
+        }
+    }
+    const long before = vmSizeKb();
+    if (before < 0)
+        GTEST_SKIP() << "no /proc/self/status VmSize on this system";
+    for (long id = 1; id <= 64; ++id)
+        ping(daemon.connect(), id);
+    const long grownKb = vmSizeKb() - before;
+    EXPECT_LT(grownKb, 64 * 1024)
+        << "64 closed connections grew VmSize by " << grownKb << " KiB";
 }
 
 TEST(Serve, DrainFlushesAdmittedWorkWithoutTruncation)

@@ -135,9 +135,18 @@ TEST(ThreadPool, WaitIsReusableAcrossBatches)
 
 TEST(ThreadPool, ZeroMeansDefaultThreadCount)
 {
+    // The hardware concurrency, whatever the environment says: the
+    // thread count is an explicit input (`--jobs`), so a stray
+    // LHR_THREADS changes nothing.
+    const unsigned hw = std::thread::hardware_concurrency();
+    const int expected = hw == 0 ? 1 : static_cast<int>(hw);
+    ASSERT_EQ(::setenv("LHR_THREADS", std::to_string(expected + 1).c_str(),
+                       1),
+              0);
     ThreadPool pool(0);
-    EXPECT_GE(pool.threadCount(), 1);
-    EXPECT_EQ(pool.threadCount(), ThreadPool::defaultThreadCount());
+    ::unsetenv("LHR_THREADS");
+    EXPECT_EQ(pool.threadCount(), expected);
+    EXPECT_EQ(ThreadPool::defaultThreadCount(), expected);
 }
 
 TEST(ThreadPool, ThrowingTaskSurfacesFromWaitWithoutLosingSiblings)
