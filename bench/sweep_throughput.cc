@@ -41,21 +41,13 @@
 namespace
 {
 
-bool
-identical(const lhr::Measurement &a, const lhr::Measurement &b)
-{
-    return a.timeSec == b.timeSec && a.timeCi95Rel == b.timeCi95Rel &&
-        a.powerW == b.powerW && a.powerCi95Rel == b.powerCi95Rel &&
-        a.invocations == b.invocations && a.degraded == b.degraded;
-}
-
 size_t
 mismatchingCells(const lhr::SweepReport &a, const lhr::SweepReport &b)
 {
     size_t mismatches = 0;
     for (size_t i = 0; i < a.cells.size(); ++i) {
         if (!a.cells[i].measurement || !b.cells[i].measurement ||
-            !identical(*a.cells[i].measurement,
+            !sameBits(*a.cells[i].measurement,
                        *b.cells[i].measurement))
             ++mismatches;
     }

@@ -789,8 +789,6 @@ cmdLoadgen(const Args &args)
         clientCounts.push_back(options.clients);
     if (const auto n = args.integer("--requests", 1, 1L << 30))
         options.requestsPerClient = static_cast<int>(*n);
-    if (const auto n = args.integer("--keys", 1, 32))
-        options.keys = static_cast<int>(*n);
     options.deadlineMs =
         args.real("--deadline",
                   lhr::msgOf("milliseconds 0..",
@@ -831,7 +829,6 @@ cmdLoadgen(const Args &args)
     table.addColumn("p95 ms");
     table.addColumn("p99 ms");
     table.addColumn("ok");
-    table.addColumn("degr");
     table.addColumn("over");
     table.addColumn("shed");
     table.addColumn("err");
@@ -847,7 +844,6 @@ cmdLoadgen(const Args &args)
         table.cell(median.p95Ms, 2);
         table.cell(median.p99Ms, 2);
         table.cell(static_cast<long>(median.okCount));
-        table.cell(static_cast<long>(median.degradedCount));
         table.cell(static_cast<long>(median.overloadedCount));
         table.cell(static_cast<long>(median.shedCount));
         table.cell(static_cast<long>(median.errorCount));
@@ -879,7 +875,7 @@ cmdLoadgen(const Args &args)
         json.key("clients").value(static_cast<long>(point.clients));
         json.key("requests_per_client")
             .value(static_cast<long>(options.requestsPerClient));
-        json.key("keys").value(static_cast<long>(options.keys));
+        json.key("keys").value(static_cast<long>(lhr::loadgenMixKeys));
         json.key("reps").value(static_cast<long>(repsPerPoint));
         json.key("deadline_ms").value(options.deadlineMs, 3);
         json.key("stall_ms").value(options.stallMs, 3);
@@ -892,7 +888,6 @@ cmdLoadgen(const Args &args)
         json.key("p95_ms").value(median.p95Ms, 3);
         json.key("p99_ms").value(median.p99Ms, 3);
         json.key("ok").value(median.okCount);
-        json.key("degraded").value(median.degradedCount);
         json.key("overloaded").value(median.overloadedCount);
         json.key("deadline_shed").value(median.shedCount);
         json.key("refused").value(median.refusedCount);
@@ -951,10 +946,10 @@ const Command commands[] = {
      "--socket= --workers= --queue=", 0, 0, cmdServe},
     {"loadgen",
      "--socket PATH [--clients N[,N...]]\n"
-     "          [--requests N] [--keys N] [--deadline MS]\n"
-     "          [--stall MS] [--reps N] [--json FILE]",
-     "--socket= --clients= --requests= --keys= --deadline= --stall= "
-     "--reps= --json=",
+     "          [--requests N] [--deadline MS] [--stall MS]\n"
+     "          [--reps N] [--json FILE]",
+     "--socket= --clients= --requests= --deadline= --stall= --reps= "
+     "--json=",
      0, 0, cmdLoadgen},
 };
 

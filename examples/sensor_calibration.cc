@@ -45,7 +45,7 @@ main(int argc, char **argv)
         lhr::Summary decoded;
         for (int i = 0; i < 256; ++i) {
             decoded.add(cal.ampsFromCounts(lhr::PowerChannel::quantize(
-                channel.outputVolts(amps, rng))));
+                channel.outputVolts(amps, rng.gaussian()))));
         }
         table.beginRow();
         table.cell(amps, 2);

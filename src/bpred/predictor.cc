@@ -5,40 +5,6 @@
 namespace lhr
 {
 
-bool
-BranchPredictor::run(uint64_t pc, bool taken)
-{
-    ++branchCount;
-    const bool predicted = predict(pc);
-    update(pc, taken);
-    if (predicted != taken) {
-        ++mispredictCount;
-        return true;
-    }
-    return false;
-}
-
-double
-BranchPredictor::mispredictRatio() const
-{
-    return branchCount == 0
-        ? 0.0
-        : static_cast<double>(mispredictCount) / branchCount;
-}
-
-namespace
-{
-
-uint8_t
-saturate(uint8_t counter, bool taken)
-{
-    if (taken)
-        return counter < 3 ? counter + 1 : 3;
-    return counter > 0 ? counter - 1 : 0;
-}
-
-} // namespace
-
 BimodalPredictor::BimodalPredictor(int table_bits)
 {
     if (table_bits < 1 || table_bits > 24)
@@ -47,46 +13,12 @@ BimodalPredictor::BimodalPredictor(int table_bits)
     counters.assign(mask + 1, 2); // weakly taken
 }
 
-bool
-BimodalPredictor::predict(uint64_t pc) const
+double
+BimodalPredictor::mispredictRatio() const
 {
-    return counters[index(pc)] >= 2;
-}
-
-void
-BimodalPredictor::update(uint64_t pc, bool taken)
-{
-    uint8_t &counter = counters[index(pc)];
-    counter = saturate(counter, taken);
-}
-
-GsharePredictor::GsharePredictor(int table_bits)
-    : history(0)
-{
-    if (table_bits < 1 || table_bits > 24)
-        panic("GsharePredictor: bad table size");
-    mask = (1u << table_bits) - 1;
-    counters.assign(mask + 1, 2);
-}
-
-uint32_t
-GsharePredictor::index(uint64_t pc) const
-{
-    return (static_cast<uint32_t>(pc >> 2) ^ history) & mask;
-}
-
-bool
-GsharePredictor::predict(uint64_t pc) const
-{
-    return counters[index(pc)] >= 2;
-}
-
-void
-GsharePredictor::update(uint64_t pc, bool taken)
-{
-    uint8_t &counter = counters[index(pc)];
-    counter = saturate(counter, taken);
-    history = ((history << 1) | (taken ? 1u : 0u)) & mask;
+    return branchCount == 0
+        ? 0.0
+        : static_cast<double>(mispredictCount) / branchCount;
 }
 
 } // namespace lhr

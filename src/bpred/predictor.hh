@@ -1,7 +1,8 @@
 /**
  * @file
- * Branch predictor simulation: bimodal and gshare schemes, used by
- * the workload characterizer to turn synthetic branch streams into
+ * Branch predictor simulation: a bimodal table of 2-bit saturating
+ * counters, used by the pipeline simulator and the hardware counter
+ * model to turn synthetic branch streams into
  * mispredictions-per-kilo-instruction, the event the interval model
  * charges at the pipeline-depth penalty.
  */
@@ -15,59 +16,21 @@
 namespace lhr
 {
 
-/** Common predictor interface. */
-class BranchPredictor
-{
-  public:
-    virtual ~BranchPredictor() = default;
-
-    /** Predict the outcome of the branch at pc. */
-    virtual bool predict(uint64_t pc) const = 0;
-
-    /** Train with the actual outcome. */
-    virtual void update(uint64_t pc, bool taken) = 0;
-
-    /** Predict, train, and count; returns true on misprediction. */
-    bool run(uint64_t pc, bool taken);
-
-    uint64_t branches() const { return branchCount; }
-    uint64_t mispredictions() const { return mispredictCount; }
-    double mispredictRatio() const;
-
-  protected:
-    /**
-     * Count one resolved branch; returns the misprediction flag.
-     * Concrete predictors use this from devirtualized fast paths so
-     * the statistics stay shared with the virtual interface.
-     */
-    bool note(bool mispredicted)
-    {
-        ++branchCount;
-        if (mispredicted)
-            ++mispredictCount;
-        return mispredicted;
-    }
-
-  private:
-    uint64_t branchCount = 0;
-    uint64_t mispredictCount = 0;
-};
-
 /** Per-pc table of 2-bit saturating counters. */
-class BimodalPredictor : public BranchPredictor
+class BimodalPredictor
 {
   public:
     explicit BimodalPredictor(int table_bits = 12);
 
-    bool predict(uint64_t pc) const override;
-    void update(uint64_t pc, bool taken) override;
+    /** Predict the outcome of the branch at pc. */
+    bool predict(uint64_t pc) const { return counters[index(pc)] >= 2; }
 
     /**
-     * Predict, train, and count in one inline step — the same
-     * transition run() makes, without two virtual dispatches per
-     * branch. Hot loops (pipesim, counters) use this.
+     * Predict, train with the actual outcome, and count; returns
+     * true on misprediction. Inline: pipesim and the counter model
+     * call it once per simulated branch.
      */
-    bool runInline(uint64_t pc, bool taken)
+    bool run(uint64_t pc, bool taken)
     {
         uint8_t &counter = counters[index(pc)];
         const bool predicted = counter >= 2;
@@ -77,8 +40,16 @@ class BimodalPredictor : public BranchPredictor
         } else if (counter > 0) {
             --counter;
         }
-        return note(predicted != taken);
+        const bool mispredicted = predicted != taken;
+        ++branchCount;
+        if (mispredicted)
+            ++mispredictCount;
+        return mispredicted;
     }
+
+    uint64_t branches() const { return branchCount; }
+    uint64_t mispredictions() const { return mispredictCount; }
+    double mispredictRatio() const;
 
   private:
     uint32_t index(uint64_t pc) const
@@ -88,23 +59,8 @@ class BimodalPredictor : public BranchPredictor
 
     uint32_t mask;
     std::vector<uint8_t> counters; ///< 0..3, >=2 predicts taken
-};
-
-/** Global-history-xor-pc indexed 2-bit counters. */
-class GsharePredictor : public BranchPredictor
-{
-  public:
-    explicit GsharePredictor(int table_bits = 12);
-
-    bool predict(uint64_t pc) const override;
-    void update(uint64_t pc, bool taken) override;
-
-  private:
-    uint32_t index(uint64_t pc) const;
-
-    uint32_t mask;
-    uint32_t history;
-    std::vector<uint8_t> counters;
+    uint64_t branchCount = 0;
+    uint64_t mispredictCount = 0;
 };
 
 } // namespace lhr

@@ -148,7 +148,7 @@ characterizeWorkload(const Benchmark &bench, const ProcessorSpec &spec,
                 break;
               }
               case MicroOp::Kind::Branch: {
-                const bool mispredicted = predictor.runInline(
+                const bool mispredicted = predictor.run(
                     batch.pc[j], batch.taken[j] != 0);
                 if (measured) {
                     counters.add(HwEvent::BranchInstructions);

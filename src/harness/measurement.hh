@@ -6,6 +6,8 @@
 #ifndef LHR_HARNESS_MEASUREMENT_HH
 #define LHR_HARNESS_MEASUREMENT_HH
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "power/chip_power.hh"
@@ -40,6 +42,32 @@ struct Measurement
     /** Energy = power x time (paper section 1). */
     double energyJ() const { return timeSec * powerW; }
 };
+
+/**
+ * Whether two measurements carry the same bits: every double equal
+ * bit for bit (no tolerance), every count and flag equal. The lab
+ * promises this across thread counts, shards, resumes, sensor
+ * backends and empty fault plans; the checks of that promise all
+ * compare with this one rule.
+ */
+inline bool
+sameBits(const Measurement &a, const Measurement &b)
+{
+    const auto bits = [](double x, double y) {
+        return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
+    };
+    return bits(a.timeSec, b.timeSec) &&
+        bits(a.timeCi95Rel, b.timeCi95Rel) && bits(a.powerW, b.powerW) &&
+        bits(a.powerCi95Rel, b.powerCi95Rel) &&
+        a.invocations == b.invocations &&
+        a.samplesLost == b.samplesLost &&
+        a.samplesRailed == b.samplesRailed &&
+        a.samplesDuplicated == b.samplesDuplicated &&
+        a.retries == b.retries &&
+        a.extraInvocations == b.extraInvocations &&
+        a.outlierInvocations == b.outlierInvocations &&
+        a.degraded == b.degraded;
+}
 
 /**
  * One deterministic (noise-free) execution: the ground truth the

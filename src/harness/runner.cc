@@ -115,6 +115,21 @@ drawInvocation(const Benchmark &bench, const ExecutionProfile &prof,
     return draw;
 }
 
+/**
+ * Fill a measurement's means, relative 95% CIs and invocation count
+ * from the time and power summaries of the invocations it kept.
+ */
+void
+summarize(Measurement &m, const Summary &time_stats,
+          const Summary &power_stats)
+{
+    m.timeSec = time_stats.mean();
+    m.timeCi95Rel = time_stats.ci95Relative();
+    m.powerW = power_stats.mean();
+    m.powerCi95Rel = power_stats.ci95Relative();
+    m.invocations = static_cast<int>(time_stats.count());
+}
+
 } // namespace
 
 ExperimentRunner::ExperimentRunner(uint64_t seed,
@@ -486,11 +501,7 @@ ExperimentRunner::runMeasurement(const MachineConfig &cfg,
     }
 
     Measurement m;
-    m.timeSec = timeStats.mean();
-    m.timeCi95Rel = timeStats.ci95Relative();
-    m.powerW = powerStats.mean();
-    m.powerCi95Rel = powerStats.ci95Relative();
-    m.invocations = invocations;
+    summarize(m, timeStats, powerStats);
     return m;
 }
 
@@ -572,11 +583,7 @@ ExperimentRunner::faultedMeasurement(const MachineConfig &cfg,
             powerStats.add(mean);
             m.samplesLost += s.lost;
         }
-        m.timeSec = timeStats.mean();
-        m.timeCi95Rel = timeStats.ci95Relative();
-        m.powerW = powerStats.mean();
-        m.powerCi95Rel = powerStats.ci95Relative();
-        m.invocations = invocations;
+        summarize(m, timeStats, powerStats);
         return m;
     }
 
@@ -718,11 +725,7 @@ ExperimentRunner::faultedMeasurement(const MachineConfig &cfg,
         m.degraded = true;
 
     m.outlierInvocations = rejected;
-    m.timeSec = timeStats.mean();
-    m.timeCi95Rel = timeStats.ci95Relative();
-    m.powerW = powerStats.mean();
-    m.powerCi95Rel = powerStats.ci95Relative();
-    m.invocations = static_cast<int>(timeStats.count());
+    summarize(m, timeStats, powerStats);
     return m;
 }
 

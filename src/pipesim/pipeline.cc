@@ -348,7 +348,7 @@ PipelineSim::Lane::consume(const TraceBlock &block, uint64_t base)
             isLoad = true;
             break;
           case MicroOp::Kind::Branch: {
-            if (predictor.runInline(batch.pc[j], batch.taken[j] != 0)) {
+            if (predictor.run(batch.pc[j], batch.taken[j] != 0)) {
                 // Redirect after resolution.
                 const double resolve = issue + 1.0;
                 const double redirect = resolve + branchPenalty;

@@ -23,7 +23,7 @@ Calibration::calibrate(const PowerChannel &channel, Rng &rng)
         double sum = 0.0;
         for (int reading = 0; reading < readingsPerPoint; ++reading)
             sum += PowerChannel::quantize(
-                channel.outputVolts(current, rng));
+                channel.outputVolts(current, rng.gaussian()));
         counts.push_back(sum / readingsPerPoint);
         amps.push_back(current);
     }

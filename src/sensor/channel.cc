@@ -36,7 +36,7 @@ PowerChannel::ratedAmps() const
 }
 
 double
-PowerChannel::outputVolts(double amps, Rng &noise) const
+PowerChannel::outputVolts(double amps, double noise_gaussian) const
 {
     const double sens = sensorSensitivity(sensorVariant);
     // Linear inside the rated range; compressed beyond it.
@@ -47,7 +47,7 @@ PowerChannel::outputVolts(double amps, Rng &noise) const
     else if (amps < -rated)
         effective = -rated + (amps + rated) * overRangeGain;
     return zeroCurrentVolts + sens * effective * (1.0 + gainError) +
-        offsetVolts + noise.gaussian(0.0, noiseVolts);
+        offsetVolts + noiseVolts * noise_gaussian;
 }
 
 int
@@ -74,11 +74,11 @@ PowerChannel::railLowCounts() const
 }
 
 int
-PowerChannel::sampleCounts(double watts, Rng &noise) const
+PowerChannel::countsFor(double watts, double noise_gaussian) const
 {
     if (watts < 0.0)
-        panic("PowerChannel::sampleCounts: negative power");
-    return quantize(outputVolts(railAmps(watts), noise));
+        panic("PowerChannel::countsFor: negative power");
+    return quantize(outputVolts(railAmps(watts), noise_gaussian));
 }
 
 } // namespace lhr

@@ -52,8 +52,11 @@ class PowerChannel
      */
     PowerChannel(SensorVariant variant, uint64_t device_seed);
 
-    /** Sensor analog output voltage for a rail current, with noise. */
-    double outputVolts(double amps, Rng &noise) const;
+    /**
+     * Sensor analog output voltage for a rail current, given one
+     * standard-normal draw for the sample noise.
+     */
+    double outputVolts(double amps, double noise_gaussian) const;
 
     /** Rated linear range of the variant in amperes. */
     double ratedAmps() const;
@@ -66,8 +69,20 @@ class PowerChannel
      */
     static constexpr double overRangeGain = 0.25;
 
-    /** One ADC sample (counts) for a true chip power in watts. */
-    int sampleCounts(double watts, Rng &noise) const;
+    /**
+     * ADC counts for a true chip power in watts, given one
+     * standard-normal draw for the sample noise: rail current,
+     * sensor transfer, 10-bit quantizer. The one copy of the chain;
+     * sampleCounts() and the batch sampler's exact fallback
+     * (sensor/sampling.cc) both call it. Panics on negative power.
+     */
+    int countsFor(double watts, double noise_gaussian) const;
+
+    /** One ADC sample (counts), drawing its noise from `noise`. */
+    int sampleCounts(double watts, Rng &noise) const
+    {
+        return countsFor(watts, noise.gaussian());
+    }
 
     /**
      * ADC counts of the sensor pegged at its positive/negative rail:
@@ -86,9 +101,9 @@ class PowerChannel
 
     /**
      * The device's fixed error terms and noise sigma. The batch
-     * sampler (sensor/sampling.cc) replays outputVolts() op for op
-     * over many samples at once, so it needs the same constants this
-     * channel draws at construction.
+     * sampler's vectorised fast path (sensor/sample_quantize.inl)
+     * replays outputVolts() over many samples at once, so it needs
+     * the same constants this channel draws at construction.
      */
     double deviceGainError() const { return gainError; }
     double deviceOffsetVolts() const { return offsetVolts; }

@@ -119,8 +119,8 @@ sampleSessionWatts(const PowerChannel &channel,
         1e-6,
         1e3 * (rippleSlope + noiseSlope) * gaussKernelMaxError);
     // Same margin for the negative-power panic decision: a sample
-    // this close to 0W goes through the exact path, which reproduces
-    // sampleCounts' own check.
+    // this close to 0W goes through the exact path, where
+    // countsFor() makes the check itself.
     p.zeroWattsGuard = std::max(
         1e-9, 1e3 * maxAbsW * 0.003 * gaussKernelMaxError);
 
@@ -146,33 +146,11 @@ sampleSessionWatts(const PowerChannel &channel,
         quantize(W, G1, G2, samples, p, counts, uncertain);
 
     // Boundary-straddling (or near-zero power) lanes: redo with
-    // exact libm gaussians and the quantizer's own rounding,
-    // channel.sampleCounts op for op.
+    // exact libm gaussians through the channel's own transfer.
     for (size_t u = 0; u < flagged; ++u) {
-        const int s = uncertain[u];
-        const double g1e = exactG(2 * static_cast<size_t>(s));
-        const double g2e = exactG(2 * static_cast<size_t>(s) + 1);
-        const double trueWe = W[s] * (1.0 + 0.003 * g1e);
-        if (trueWe < 0.0)
-            panic("PowerChannel::sampleCounts: negative power");
-        const double ampsE = trueWe / PowerChannel::railVolts;
-        double effectiveE = ampsE;
-        if (ampsE > p.ratedAmps) {
-            effectiveE = p.ratedAmps +
-                (ampsE - p.ratedAmps) * PowerChannel::overRangeGain;
-        } else if (ampsE < -p.ratedAmps) {
-            effectiveE = -p.ratedAmps +
-                (ampsE + p.ratedAmps) * PowerChannel::overRangeGain;
-        }
-        const double voltsE = PowerChannel::zeroCurrentVolts +
-            p.sens * effectiveE * p.gainFactor + p.offsetVolts +
-            (0.0 + p.noiseVolts * g2e);
-        const double clampedE =
-            std::clamp(voltsE, 0.0, PowerChannel::adcVref);
-        const int c = static_cast<int>(
-            std::lround(clampedE / PowerChannel::adcVref *
-                        (PowerChannel::adcCounts - 1)));
-        counts[s] = std::clamp(c, 0, PowerChannel::adcCounts - 1);
+        const size_t s = static_cast<size_t>(uncertain[u]);
+        const double trueW = W[s] * (1.0 + 0.003 * exactG(2 * s));
+        counts[s] = channel.countsFor(trueW, exactG(2 * s + 1));
     }
 
     // ---- Integrate ------------------------------------------------

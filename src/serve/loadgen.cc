@@ -1,12 +1,13 @@
 #include "serve/loadgen.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/protocol.hh"
+#include "stats/summary.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/net.hh"
@@ -23,9 +24,9 @@ using Clock = std::chrono::steady_clock;
 constexpr size_t replyFrameCap = 1 << 16;
 
 /**
- * The fixed query mix: processors crossed with benchmarks, giving
- * `keys` distinct experiment keys when taken round-robin. Paper
- * parts only, so the mix is stable across era extensions.
+ * The fixed query mix: processors crossed with benchmarks, walked
+ * round-robin over its first loadgenMixKeys keys. Paper parts only,
+ * so the mix is stable across era extensions.
  */
 const char *const mixProcs[] = {"i7 (45)", "i5 (32)", "C2D (45)",
                                 "Pentium4 (130)"};
@@ -37,12 +38,13 @@ constexpr int mixProcCount =
     static_cast<int>(sizeof(mixProcs) / sizeof(mixProcs[0]));
 constexpr int mixBenchCount =
     static_cast<int>(sizeof(mixBenches) / sizeof(mixBenches[0]));
+static_assert(loadgenMixKeys <= mixProcCount * mixBenchCount);
 
-/** The i-th key of the mix (wraps at mixProcCount * mixBenchCount). */
+/** The i-th key of the mix (wraps at loadgenMixKeys). */
 void
 mixKey(int i, std::string &proc, std::string &bench)
 {
-    const int slot = i % (mixProcCount * mixBenchCount);
+    const int slot = i % loadgenMixKeys;
     proc = mixProcs[slot % mixProcCount];
     bench = mixBenches[slot / mixProcCount];
 }
@@ -52,7 +54,6 @@ struct WorkerTally
 {
     uint64_t ops = 0;
     uint64_t okCount = 0;
-    uint64_t degradedCount = 0;
     uint64_t overloadedCount = 0;
     uint64_t shedCount = 0;
     uint64_t refusedCount = 0;
@@ -88,10 +89,7 @@ workerLoop(const LoadgenOptions &options, int worker_index,
         req.id = static_cast<long>(worker_index) * 1000000 + i;
         // Offset by the worker index so concurrent workers collide
         // on keys (exercising coalescing) while walking the mix.
-        const int span = options.keys > 0
-                             ? options.keys
-                             : mixProcCount * mixBenchCount;
-        mixKey((worker_index + i) % span, req.proc, req.bench);
+        mixKey(worker_index + i, req.proc, req.bench);
         req.deadlineMs = options.deadlineMs;
         req.stallMs = options.stallMs;
 
@@ -124,12 +122,7 @@ workerLoop(const LoadgenOptions &options, int worker_index,
             parsed.ok() ? parsed.value().stringOr("status", "")
                         : std::string();
         if (status == "ok") {
-            if (parsed.value().find("degraded") != nullptr &&
-                parsed.value().find("degraded")->isBoolean() &&
-                parsed.value().find("degraded")->asBoolean())
-                ++tally.degradedCount;
-            else
-                ++tally.okCount;
+            ++tally.okCount;
         } else if (status == "overloaded") {
             ++tally.overloadedCount;
         } else if (status == "deadline-exceeded") {
@@ -140,17 +133,6 @@ workerLoop(const LoadgenOptions &options, int worker_index,
             ++tally.errorCount;
         }
     }
-}
-
-double
-percentile(std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    const size_t index = std::min(
-        sorted.size() - 1,
-        static_cast<size_t>(p * static_cast<double>(sorted.size())));
-    return sorted[index];
 }
 
 } // namespace
@@ -196,7 +178,6 @@ runLoadgen(const LoadgenOptions &options)
     for (const WorkerTally &tally : tallies) {
         report.ops += tally.ops;
         report.okCount += tally.okCount;
-        report.degradedCount += tally.degradedCount;
         report.overloadedCount += tally.overloadedCount;
         report.shedCount += tally.shedCount;
         report.refusedCount += tally.refusedCount;
@@ -208,10 +189,11 @@ runLoadgen(const LoadgenOptions &options)
                  tally.firstError.message());
         }
     }
-    std::sort(latencies.begin(), latencies.end());
-    report.p50Ms = percentile(latencies, 0.50);
-    report.p95Ms = percentile(latencies, 0.95);
-    report.p99Ms = percentile(latencies, 0.99);
+    if (!latencies.empty()) {
+        report.p50Ms = percentileOf(latencies, 50.0);
+        report.p95Ms = percentileOf(latencies, 95.0);
+        report.p99Ms = percentileOf(std::move(latencies), 99.0);
+    }
     report.requestsPerSec =
         wall_sec > 0.0 ? static_cast<double>(report.ops) / wall_sec
                        : 0.0;

@@ -7,12 +7,11 @@
  * throughput + percentile report.
  *
  * Each worker opens its own connection and issues measure requests
- * round-robin over a fixed (processor, benchmark) mix; the mix size
- * (`keys`) controls how much cache reuse and coalescing the run
- * exercises. Every reply outcome is counted — ok, overloaded,
- * deadline-shed, refused, and `degraded` as a tripwire the daemon
- * should never trip — so an overload run reports the daemon's
- * shedding behaviour, not just its throughput.
+ * round-robin over a fixed mix of loadgenMixKeys (processor,
+ * benchmark) keys, offset per worker so concurrent workers collide
+ * on keys and exercise coalescing. Every reply outcome is counted —
+ * ok, overloaded, deadline-shed, refused — so an overload run
+ * reports the daemon's shedding behaviour, not just its throughput.
  */
 
 #ifndef LHR_SERVE_LOADGEN_HH
@@ -26,13 +25,15 @@
 namespace lhr
 {
 
+/** Distinct experiment keys loadgen's requests walk. */
+constexpr int loadgenMixKeys = 8;
+
 /** One load-generation run. */
 struct LoadgenOptions
 {
     std::string socketPath;
     int clients = 8;            ///< concurrent worker connections
     int requestsPerClient = 50; ///< closed-loop ops per worker
-    int keys = 8;               ///< distinct experiment keys in the mix
     double deadlineMs = 0.0;    ///< per-request deadline (0 = none)
     double stallMs = 0.0;       ///< server-side stall per request
 };
@@ -43,7 +44,6 @@ struct LoadgenReport
     int clients = 0;
     uint64_t ops = 0;        ///< requests sent (replies received)
     uint64_t okCount = 0;    ///< computed answers
-    uint64_t degradedCount = 0;
     uint64_t overloadedCount = 0;
     uint64_t shedCount = 0;  ///< deadline-exceeded replies
     uint64_t refusedCount = 0; ///< shutting-down replies
@@ -57,8 +57,7 @@ struct LoadgenReport
     /** Replies the daemon answered without crashing or hanging. */
     uint64_t answered() const
     {
-        return okCount + degradedCount + overloadedCount + shedCount +
-            refusedCount;
+        return okCount + overloadedCount + shedCount + refusedCount;
     }
 };
 

@@ -153,8 +153,18 @@ parseServeRequest(const std::string &body)
     status = readNumber(doc, "cores", present, number);
     if (!status.ok())
         return status;
-    if (present)
+    if (present) {
+        // Refused, not cast: 2.5 would truncate to 2 and 1e300 has
+        // no int (the cast is undefined behaviour). resolveConfig
+        // checks the processor's own range.
+        if (!(number >= std::numeric_limits<int>::min() &&
+              number <= std::numeric_limits<int>::max()) ||
+            number != std::trunc(number)) {
+            return Status::error(StatusCode::InvalidArgument,
+                                 "\"cores\" must be an integer");
+        }
         req.cores = static_cast<int>(number);
+    }
 
     bool flag = false;
     status = readBoolean(doc, "smt", present, flag);

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -24,6 +25,13 @@ using Clock = std::chrono::steady_clock;
 
 /** How long the accept loop waits before re-checking drain flags. */
 constexpr int acceptPollMs = 100;
+
+/**
+ * Request-frame cap. A longer length prefix is answered with a
+ * parse error and drops the connection, so no client can make the
+ * daemon allocate a huge frame buffer.
+ */
+constexpr size_t maxFrameBytes = 1 << 20;
 
 /**
  * One connected client. Pool tasks and the connection's reader thread
@@ -93,9 +101,6 @@ struct LabServer::Impl
 
     std::atomic<bool> draining{false};
 
-    std::mutex connMutex; ///< guards conns (list of live connections)
-    std::vector<std::shared_ptr<ClientConn>> conns;
-
     /** Runs admitted jobs; last, so it drains before the rest die. */
     ThreadPool pool{options.workers};
 
@@ -104,7 +109,7 @@ struct LabServer::Impl
     void serveStats(const ServeRequest &req, ClientConn &conn);
     void handleFrame(const std::string &body,
                      const std::shared_ptr<ClientConn> &conn);
-    void connectionLoop(std::shared_ptr<ClientConn> conn);
+    void connectionLoop(const std::shared_ptr<ClientConn> &conn);
     void runJob(const Job &job);
     void requestDrain();
     [[nodiscard]] ServeStatsSnapshot snapshot() const;
@@ -266,11 +271,10 @@ LabServer::Impl::handleFrame(const std::string &body,
 }
 
 void
-LabServer::Impl::connectionLoop(std::shared_ptr<ClientConn> conn)
+LabServer::Impl::connectionLoop(const std::shared_ptr<ClientConn> &conn)
 {
     for (;;) {
-        Expected<std::string> frame =
-            readFrame(conn->sock, options.maxFrameBytes);
+        Expected<std::string> frame = readFrame(conn->sock, maxFrameBytes);
         if (!frame.ok()) {
             // An oversized prefix is the one protocol error the
             // stream cannot recover from: answer it, then drop the
@@ -286,47 +290,32 @@ LabServer::Impl::connectionLoop(std::shared_ptr<ClientConn> conn)
         }
         handleFrame(frame.value(), conn);
     }
-    // Retire the connection from the live list. Admitted jobs keep
-    // it alive through their own shared_ptr until their replies are
-    // flushed; with none pending, dropping the last reference here
-    // closes the socket and the client sees a clean EOF.
-    std::lock_guard<std::mutex> lock(connMutex);
-    for (size_t i = 0; i < conns.size(); ++i) {
-        if (conns[i] == conn) {
-            conns.erase(conns.begin() +
-                        static_cast<std::ptrdiff_t>(i));
-            break;
-        }
-    }
 }
 
 void
 LabServer::Impl::runJob(const Job &job)
 {
-    // Deadline gate one: shed work that expired while queued.
-    if (job.hasDeadline && Clock::now() > job.deadline) {
+    // The deadline gate: shed work that expired while queued, and
+    // again after a stall, which may have consumed the deadline.
+    const auto shedIfExpired = [&] {
+        if (!job.hasDeadline || Clock::now() <= job.deadline)
+            return false;
         counters.deadlineShed.fetch_add(1);
         sendBestEffort(*job.conn,
                        errorReplyJson(job.req.id,
                                       ServeStatus::DeadlineExceeded,
                                       "deadline expired in queue; shed"));
+        return true;
+    };
+    if (shedIfExpired())
         return;
-    }
 
     // Load-test stall: stand in for an expensive query.
     if (job.req.stallMs > 0.0) {
         std::this_thread::sleep_for(std::chrono::microseconds(
             static_cast<long>(job.req.stallMs * 1000.0)));
-        // Deadline gate two: the stall may have consumed it.
-        if (job.hasDeadline && Clock::now() > job.deadline) {
-            counters.deadlineShed.fetch_add(1);
-            sendBestEffort(
-                *job.conn,
-                errorReplyJson(job.req.id,
-                               ServeStatus::DeadlineExceeded,
-                               "deadline expired in queue; shed"));
+        if (shedIfExpired())
             return;
-        }
     }
 
     try {
@@ -370,13 +359,17 @@ LabServer::serve()
         return listener.status();
     inform("serve: listening on " + impl->options.socketPath);
 
-    // One reader thread per connection. A finished one is joined on
-    // the loop's next pass, so a closed connection does not keep its
-    // stack mapped until drain.
+    // The live connections: one reader thread each. A finished one
+    // is joined on the loop's next pass, so a closed connection does
+    // not keep its stack mapped until drain. The list only watches
+    // the connection: the reader thread and admitted jobs own it,
+    // and when the last of them lets go the socket closes and the
+    // client sees a clean EOF.
     struct ConnThread
     {
         std::thread thread;
         std::shared_ptr<std::atomic<bool>> done;
+        std::weak_ptr<ClientConn> conn;
     };
     std::vector<ConnThread> connThreads;
     while (!impl->draining.load()) {
@@ -404,16 +397,12 @@ LabServer::serve()
         auto conn =
             std::make_shared<ClientConn>(std::move(client.value()));
         impl->counters.connections.fetch_add(1);
-        {
-            std::lock_guard<std::mutex> lock(impl->connMutex);
-            impl->conns.push_back(conn);
-        }
         auto done = std::make_shared<std::atomic<bool>>(false);
         connThreads.push_back({std::thread([this, conn, done] {
                                    impl->connectionLoop(conn);
                                    done->store(true);
                                }),
-                               done});
+                               done, conn});
     }
 
     // Drain, in order: stop accepting (done — the loop exited), wake
@@ -423,18 +412,13 @@ LabServer::serve()
     // close. The jobs keep their connections alive via shared_ptr, so
     // replies to admitted work always reach a writable socket.
     listener.value().close();
-    {
-        std::lock_guard<std::mutex> lock(impl->connMutex);
-        for (const std::shared_ptr<ClientConn> &conn : impl->conns)
+    for (const ConnThread &c : connThreads) {
+        if (const std::shared_ptr<ClientConn> conn = c.conn.lock())
             conn->sock.shutdownRead();
     }
     for (ConnThread &c : connThreads)
         c.thread.join();
     impl->pool.wait();
-    {
-        std::lock_guard<std::mutex> lock(impl->connMutex);
-        impl->conns.clear();
-    }
     inform("serve: drained cleanly");
     return Status();
 }

@@ -53,7 +53,6 @@ struct ServeOptions
     std::string socketPath;    ///< Unix-domain socket to listen on
     int workers = 2;           ///< measurement worker threads
     size_t queueDepth = 32;    ///< jobs that may wait for a worker
-    size_t maxFrameBytes = 1 << 20; ///< request-frame cap
     /**
      * External drain request (the CLI's signal handlers set it).
      * Polled by the accept loop; nullptr = only the shutdown op

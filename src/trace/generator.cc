@@ -84,7 +84,7 @@ TraceGenerator::TraceGenerator(const Benchmark &bench, uint64_t seed)
 {
     // Build a static-branch population whose mix of easy (strongly
     // biased) and hard (weakly biased) branches reproduces the
-    // benchmark's misprediction rate under a 2-bit/gshare scheme:
+    // benchmark's misprediction rate under the 2-bit bimodal scheme:
     // hard branches mispredict at roughly min(b, 1-b).
     const double targetMispPerBranch =
         bench.branchMispKi / (branchPerInstr * 1000.0);

@@ -24,15 +24,6 @@ namespace lhr
 namespace
 {
 
-/** Bitwise equality of the paper-facing measurement fields. */
-bool
-identical(const Measurement &a, const Measurement &b)
-{
-    return a.timeSec == b.timeSec && a.timeCi95Rel == b.timeCi95Rel &&
-        a.powerW == b.powerW && a.powerCi95Rel == b.powerCi95Rel &&
-        a.invocations == b.invocations;
-}
-
 /** Equality of the fault fields the Hall-era classes drive. */
 bool
 samePaperFault(const SampleFault &a, const SampleFault &b)
@@ -268,9 +259,9 @@ TEST(Runner, EmptyPlanIsBitIdenticalToTheCleanPath)
     MeasurementPolicy policy;          // defaults, harden on
     planned.setMeasurementPolicy(policy);
 
-    EXPECT_TRUE(identical(plain.measure(cfg, bench),
+    EXPECT_TRUE(sameBits(plain.measure(cfg, bench),
                           planned.measure(cfg, bench)));
-    EXPECT_TRUE(identical(plain.measure(cfg, java),
+    EXPECT_TRUE(sameBits(plain.measure(cfg, java),
                           planned.measure(cfg, java)));
 }
 
@@ -309,7 +300,7 @@ TEST(Runner, PoisonedConfigThrowsTypedFaultError)
     // Other configurations are untouched — and bit-identical to a
     // plan-free runner, since a poison-only plan injects no samples.
     ExperimentRunner plain(0xBEEF);
-    EXPECT_TRUE(identical(runner.measure(healthy, bench),
+    EXPECT_TRUE(sameBits(runner.measure(healthy, bench),
                           plain.measure(healthy, bench)));
 }
 
@@ -330,7 +321,7 @@ TEST(Runner, PoisonMatchesTheExactConfig)
 
     EXPECT_THROW(runner.measure(poisoned, bench), FaultError);
     ExperimentRunner plain(0xBEEF);
-    EXPECT_TRUE(identical(runner.measure(neighbour, bench),
+    EXPECT_TRUE(sameBits(runner.measure(neighbour, bench),
                           plain.measure(neighbour, bench)));
 }
 
@@ -369,10 +360,10 @@ TEST(Runner, HardenedPipelineRecoversFromSaturation)
     ExperimentRunner rawAgain(0xBEEF);
     rawAgain.setFaultPlan(plan);
     rawAgain.setMeasurementPolicy(raw);
-    EXPECT_TRUE(identical(rawAgain.measure(cfg, bench), rawM));
+    EXPECT_TRUE(sameBits(rawAgain.measure(cfg, bench), rawM));
     ExperimentRunner recAgain(0xBEEF);
     recAgain.setFaultPlan(plan);
-    EXPECT_TRUE(identical(recAgain.measure(cfg, bench), recM));
+    EXPECT_TRUE(sameBits(recAgain.measure(cfg, bench), recM));
 }
 
 TEST(Runner, DeadRigDegradesToFaultErrorNotAHang)

@@ -33,7 +33,7 @@ TEST(Sensor, ZeroCurrentNearMidRail)
     Rng rng(2);
     Summary out;
     for (int i = 0; i < 200; ++i)
-        out.add(channel.outputVolts(0.0, rng));
+        out.add(channel.outputVolts(0.0, rng.gaussian()));
     EXPECT_NEAR(out.mean(), 2.5, 0.05);
 }
 
@@ -43,8 +43,8 @@ TEST(Sensor, OutputScalesWithCurrent)
     Rng rng(4);
     Summary low, high;
     for (int i = 0; i < 200; ++i) {
-        low.add(channel.outputVolts(1.0, rng));
-        high.add(channel.outputVolts(2.0, rng));
+        low.add(channel.outputVolts(1.0, rng.gaussian()));
+        high.add(channel.outputVolts(2.0, rng.gaussian()));
     }
     EXPECT_NEAR(high.mean() - low.mean(), 0.185, 0.01);
 }
@@ -90,7 +90,7 @@ TEST(Calibration, DecodesCurrentAccurately)
         Summary decoded;
         for (int i = 0; i < 100; ++i) {
             const int counts = PowerChannel::quantize(
-                channel.outputVolts(amps, rng));
+                channel.outputVolts(amps, rng.gaussian()));
             decoded.add(cal.ampsFromCounts(counts));
         }
         // Calibration removes gain/offset error; residual error is
@@ -122,10 +122,10 @@ TEST(Sensor, SaturatesBeyondRatedCurrent)
     Rng rng(22);
     Summary inRange, overRange;
     for (int i = 0; i < 400; ++i) {
-        inRange.add(channel.outputVolts(4.5, rng) -
-                    channel.outputVolts(3.5, rng));
-        overRange.add(channel.outputVolts(7.0, rng) -
-                      channel.outputVolts(6.0, rng));
+        inRange.add(channel.outputVolts(4.5, rng.gaussian()) -
+                    channel.outputVolts(3.5, rng.gaussian()));
+        overRange.add(channel.outputVolts(7.0, rng.gaussian()) -
+                      channel.outputVolts(6.0, rng.gaussian()));
     }
     EXPECT_GT(inRange.mean(), 3.0 * overRange.mean());
 }

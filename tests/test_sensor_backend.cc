@@ -35,15 +35,6 @@ namespace
 /** A flat-ish two-phase waveform around 40W. */
 const std::vector<double> kPhases = {38.0, 44.0, 41.0, 39.5};
 
-/** Bitwise equality of the paper-facing measurement fields. */
-bool
-identical(const Measurement &a, const Measurement &b)
-{
-    return a.timeSec == b.timeSec && a.timeCi95Rel == b.timeCi95Rel &&
-        a.powerW == b.powerW && a.powerCi95Rel == b.powerCi95Rel &&
-        a.invocations == b.invocations;
-}
-
 } // namespace
 
 TEST(SensorBackend, NamesRoundTrip)
@@ -91,32 +82,39 @@ TEST(SensorBackend, BatchedSessionMatchesScalarChain)
 {
     // The vectorized Hall sampler against the base-class loop of
     // beginSession() + read(): the same sum to the bit, and the
-    // invocation stream left at the same position.
-    for (const SensorVariant variant :
-         {SensorVariant::A5, SensorVariant::A30}) {
-        const HallEffectSensor sensor(variant, 0x714, 0xCAFE);
-        for (const int samples : {8, 37, 1000, 1501}) {
-            for (const bool pending : {false, true}) {
-                Rng batched(0xD00D), scalar(0xD00D);
-                if (pending) {
-                    // Leave the second half of a Box-Muller pair cached.
-                    (void)batched.gaussian();
-                    (void)scalar.gaussian();
+    // invocation stream left at the same position. The 0 W phases
+    // send their samples through the batch sampler's exact fallback
+    // (the zero-watt guard), which the ~40 W waveform reaches only
+    // about once per million samples.
+    const std::vector<double> zeroPhases = {0.0, 40.0, 0.0, 12.0};
+    for (const std::vector<double> *phases : {&kPhases, &zeroPhases}) {
+        for (const SensorVariant variant :
+             {SensorVariant::A5, SensorVariant::A30}) {
+            const HallEffectSensor sensor(variant, 0x714, 0xCAFE);
+            for (const int samples : {8, 37, 1000, 1501}) {
+                for (const bool pending : {false, true}) {
+                    Rng batched(0xD00D), scalar(0xD00D);
+                    if (pending) {
+                        // Leave the second half of a Box-Muller pair
+                        // cached.
+                        (void)batched.gaussian();
+                        (void)scalar.gaussian();
+                    }
+                    ASSERT_EQ(batched.hasPendingGaussian(), pending);
+                    const int n = static_cast<int>(phases->size());
+                    const double a = sensor.sessionWatts(
+                        phases->data(), n, 1.02, samples, batched);
+                    const double b = sensor.PowerSensor::sessionWatts(
+                        phases->data(), n, 1.02, samples, scalar);
+                    const std::string where = msgOf(
+                        variant == SensorVariant::A5 ? "A5" : "A30",
+                        " phase[0] ", (*phases)[0], " samples ",
+                        samples, pending ? " pending" : "");
+                    EXPECT_EQ(std::bit_cast<uint64_t>(a),
+                              std::bit_cast<uint64_t>(b))
+                        << where << ": " << a << " vs " << b;
+                    EXPECT_EQ(batched.next(), scalar.next()) << where;
                 }
-                ASSERT_EQ(batched.hasPendingGaussian(), pending);
-                const double a = sensor.sessionWatts(
-                    kPhases.data(), static_cast<int>(kPhases.size()),
-                    1.02, samples, batched);
-                const double b = sensor.PowerSensor::sessionWatts(
-                    kPhases.data(), static_cast<int>(kPhases.size()),
-                    1.02, samples, scalar);
-                const std::string where =
-                    msgOf(variant == SensorVariant::A5 ? "A5" : "A30", " samples ",
-                          samples, pending ? " pending" : "");
-                EXPECT_EQ(std::bit_cast<uint64_t>(a),
-                          std::bit_cast<uint64_t>(b))
-                    << where << ": " << a << " vs " << b;
-                EXPECT_EQ(batched.next(), scalar.next()) << where;
             }
         }
     }
@@ -282,7 +280,7 @@ TEST(RunnerBackend, RaplMeasurementsAreDeterministicAndDiffer)
     ExperimentRunner hall(0xBEEF);
 
     const Measurement &ma = a.measure(cfg, bench);
-    EXPECT_TRUE(identical(ma, b.measure(cfg, bench)));
+    EXPECT_TRUE(sameBits(ma, b.measure(cfg, bench)));
 
     // The backend is actually in the loop: the Hall chain decodes
     // through a different noise path, so the two disagree...
@@ -334,7 +332,7 @@ TEST(RunnerBackend, HardenedPipelineRecoversFromRaplFaults)
 
     ExperimentRunner again(0xBEEF);
     again.setFaultPlan(plan);
-    EXPECT_TRUE(identical(again.measure(cfg, bench), recovered));
+    EXPECT_TRUE(sameBits(again.measure(cfg, bench), recovered));
 }
 
 } // namespace lhr

@@ -329,6 +329,16 @@ TEST(Protocol, TypedErrorsForBadRequests)
                   .status()
                   .code(),
               StatusCode::InvalidArgument);
+    // A fractional or unrepresentable core count is refused, not
+    // truncated to an int.
+    for (const char *cores : {"2.5", "1e300"}) {
+        Expected<ServeRequest> parsed = parseServeRequest(
+            std::string("{\"op\": \"measure\", \"proc\": \"i7 (45)\","
+                        " \"bench\": \"mcf\", \"cores\": ") +
+            cores + "}");
+        ASSERT_FALSE(parsed.ok()) << "cores " << cores;
+        EXPECT_EQ(parsed.status().code(), StatusCode::InvalidArgument);
+    }
     // Missing proc/bench on a measure.
     EXPECT_EQ(parseServeRequest("{\"op\": \"measure\"}")
                   .status()
@@ -639,7 +649,6 @@ TEST(Serve, MalformedFramesGetTypedErrorsWithoutKillingTheDaemon)
 TEST(Serve, OversizedFrameDropsTheConnectionButNotTheDaemon)
 {
     ServeOptions options;
-    options.maxFrameBytes = 4096;
     TestDaemon daemon(options);
 
     const Socket attacker = daemon.connect();
@@ -775,7 +784,6 @@ TEST(Serve, LoadgenReportsAnsweredRequestsAndPercentiles)
     load.socketPath = daemon.path;
     load.clients = 4;
     load.requestsPerClient = 10;
-    load.keys = 4;
     Expected<LoadgenReport> report = runLoadgen(load);
     ASSERT_TRUE(report.ok()) << report.status().toString();
     EXPECT_EQ(report.value().ops, 40u);

@@ -30,15 +30,6 @@ namespace lhr
 namespace
 {
 
-/** Bitwise equality, field by field (no tolerance). */
-bool
-identical(const Measurement &a, const Measurement &b)
-{
-    return a.timeSec == b.timeSec && a.timeCi95Rel == b.timeCi95Rel &&
-        a.powerW == b.powerW && a.powerCi95Rel == b.powerCi95Rel &&
-        a.invocations == b.invocations;
-}
-
 /** A small but representative grid: 3 configs x 10 benchmarks. */
 std::vector<MachineConfig>
 testConfigs()
@@ -277,7 +268,7 @@ TEST(Sweep, PoisonedConfigDegradesToOneFlaggedRow)
     ExperimentRunner clean(0xBEEF);
     for (const SweepCell &cell : report.cells) {
         if (cell.ok()) {
-            EXPECT_TRUE(identical(
+            EXPECT_TRUE(sameBits(
                 *cell.measurement,
                 clean.measure(*cell.config, *cell.benchmark)));
         }
@@ -301,7 +292,7 @@ TEST(Sweep, ParallelIsBitIdenticalToSerial)
 
     ASSERT_EQ(report.cells.size(), serial.size());
     for (size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_TRUE(identical(*serial[i], *report.cells[i].measurement))
+        EXPECT_TRUE(sameBits(*serial[i], *report.cells[i].measurement))
             << report.cells[i].config->label() << " / "
             << report.cells[i].benchmark->name;
     }
@@ -434,7 +425,7 @@ TEST(Sweep, SameKeyHammerReturnsOneObject)
     EXPECT_EQ(stats.hits, static_cast<uint64_t>(threadCount - 1));
 
     ExperimentRunner fresh(0xBEEF);
-    EXPECT_TRUE(identical(fresh.measure(cfg, bench), *seen[0]));
+    EXPECT_TRUE(sameBits(fresh.measure(cfg, bench), *seen[0]));
 }
 
 TEST(Sweep, MixedKeyHammerStaysDeterministic)
@@ -465,7 +456,7 @@ TEST(Sweep, MixedKeyHammerStaysDeterministic)
     ExperimentRunner serial(0x5EED);
     for (const auto &cfg : configs)
         for (const auto &bench : benchmarks)
-            EXPECT_TRUE(identical(serial.measure(cfg, bench),
+            EXPECT_TRUE(sameBits(serial.measure(cfg, bench),
                                   runner.measure(cfg, bench)));
 }
 
@@ -614,7 +605,7 @@ TEST(Sweep, WarmStartSeedsOnlyTheExactConfig)
     ASSERT_TRUE(report.cells[0].ok());
 
     ExperimentRunner fresh(0xBEEF);
-    EXPECT_TRUE(identical(*report.cells[0].measurement,
+    EXPECT_TRUE(sameBits(*report.cells[0].measurement,
                           fresh.measure(high, benchmarks[0])));
 }
 
@@ -765,7 +756,7 @@ TEST(Sweep, StopFlagCancelsUnstartedCellsAndKeepsCompletedRows)
     ASSERT_EQ(resumed.cells.size(), reference.cells.size());
     for (size_t i = 0; i < resumed.cells.size(); ++i) {
         ASSERT_TRUE(resumed.cells[i].ok());
-        EXPECT_TRUE(identical(*resumed.cells[i].measurement,
+        EXPECT_TRUE(sameBits(*resumed.cells[i].measurement,
                               *reference.cells[i].measurement));
     }
 }
