@@ -9,6 +9,7 @@
 #include "workload/phases.hh"
 #include "power/turbo.hh"
 #include "stats/summary.hh"
+#include "util/fp.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 
@@ -248,7 +249,7 @@ ExperimentRunner::profile(const MachineConfig &cfg, const Benchmark &bench)
         // memoized slot halves the model work of the turbo search.
         auto breakdownAt = [&, memoClock = -1.0,
                             memo = PowerBreakdown{}](double f) mutable {
-            if (f != memoClock) {
+            if (!exactlyEqual(f, memoClock)) {
                 const PerfResult r = execute(f);
                 memo = power.compute(cfg, licensed(f),
                                      activityOf(r, bench),
@@ -288,38 +289,27 @@ ExperimentRunner::profile(const MachineConfig &cfg, const Benchmark &bench)
 }
 
 ExperimentRunner::MemoSlot
-ExperimentRunner::memoSlot(const MachineConfig &cfg, const Benchmark &bench,
-                           bool claim) const
+ExperimentRunner::claimMemo(const MachineConfig &cfg, const Benchmark &bench,
+                            bool count)
 {
     const std::string key = ExperimentRunner::keyOf(cfg, bench);
-    MemoShard &shard = memoShards[fnv1a(key) % memoShardCount];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (!claim) {
-        const auto it = shard.entries.find(key);
-        return {shard,
-                it == shard.entries.end() ? nullptr : it->second.get(),
-                false};
-    }
-    auto [it, fresh] = shard.entries.try_emplace(key);
+    std::lock_guard<std::mutex> lock(memoMutex);
+    auto [it, fresh] = memo.try_emplace(key);
     if (fresh)
         it->second = std::make_unique<MemoEntry>();
-    return {shard, it->second.get(), fresh};
+    if (count)
+        ++(fresh ? memoMisses : memoHits);
+    return {*it->second, fresh};
 }
 
 const Measurement &
 ExperimentRunner::measure(const MachineConfig &cfg, const Benchmark &bench)
 {
-    const MemoSlot slot = memoSlot(cfg, bench, /* claim */ true);
-    if (slot.claimed)
-        slot.shard.misses.fetch_add(1, std::memory_order_relaxed);
-    else
-        slot.shard.hits.fetch_add(1, std::memory_order_relaxed);
-
     // The inserting thread measures; concurrent readers of the same
     // key block here until the measurement is published. `ready`
     // flips only after the value is fully assigned (release pairs
     // with peekCache's acquire).
-    MemoEntry &entry = *slot.entry;
+    MemoEntry &entry = claimMemo(cfg, bench, /* count */ true).entry;
     std::call_once(entry.once, [&] {
         entry.value = runMeasurement(cfg, bench);
         entry.ready.store(true, std::memory_order_release);
@@ -332,16 +322,15 @@ ExperimentRunner::seedCache(const MachineConfig &cfg,
                             const Benchmark &bench,
                             const Measurement &m)
 {
-    const MemoSlot slot = memoSlot(cfg, bench, /* claim */ true);
+    const MemoSlot slot = claimMemo(cfg, bench, /* count */ false);
     if (!slot.claimed)
         return false;
     // Publish through the slot's once_flag, the same protocol
     // measure() uses: a concurrent measure() of this key blocks on
     // the flag and then reads the seeded value as a plain hit.
-    MemoEntry &entry = *slot.entry;
-    std::call_once(entry.once, [&] {
-        entry.value = m;
-        entry.ready.store(true, std::memory_order_release);
+    std::call_once(slot.entry.once, [&] {
+        slot.entry.value = m;
+        slot.entry.ready.store(true, std::memory_order_release);
     });
     return true;
 }
@@ -350,7 +339,14 @@ const Measurement *
 ExperimentRunner::peekCache(const MachineConfig &cfg,
                             const Benchmark &bench) const
 {
-    const MemoEntry *entry = memoSlot(cfg, bench, /* claim */ false).entry;
+    const std::string key = ExperimentRunner::keyOf(cfg, bench);
+    const MemoEntry *entry = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(memoMutex);
+        const auto it = memo.find(key);
+        if (it != memo.end())
+            entry = it->second.get();
+    }
     // An entry exists from the moment a producer claims the key; it
     // is only readable once published. Never block on the once_flag
     // here — the whole point of the probe is answering "not yet"
@@ -363,32 +359,15 @@ ExperimentRunner::peekCache(const MachineConfig &cfg,
 CacheStats
 ExperimentRunner::cacheStats() const
 {
-    CacheStats stats;
-    for (const MemoShard &shard : memoShards) {
-        stats.hits += shard.hits.load(std::memory_order_relaxed);
-        stats.misses += shard.misses.load(std::memory_order_relaxed);
-    }
-    return stats;
-}
-
-void
-ExperimentRunner::resetCacheStats()
-{
-    for (MemoShard &shard : memoShards) {
-        shard.hits.store(0, std::memory_order_relaxed);
-        shard.misses.store(0, std::memory_order_relaxed);
-    }
+    std::lock_guard<std::mutex> lock(memoMutex);
+    return {memoHits, memoMisses};
 }
 
 size_t
 ExperimentRunner::cachedMeasurements() const
 {
-    size_t n = 0;
-    for (const MemoShard &shard : memoShards) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        n += shard.entries.size();
-    }
-    return n;
+    std::lock_guard<std::mutex> lock(memoMutex);
+    return memo.size();
 }
 
 /**
@@ -551,11 +530,9 @@ ExperimentRunner::faultedMeasurement(const MachineConfig &cfg,
         const auto sensorSession = rig.beginSession(invRng);
         PowerTraceLogger logger(*sensorSession);
         for (int s = 0; s < samples; ++s) {
-            const int k = static_cast<int>(
-                static_cast<int64_t>(s) * powerPhases / samples) %
-                powerPhases;
+            const int k = sessionPhase(s, powerPhases, samples);
             const double trueW = phasePowerW[k] * draw.powerScale *
-                (1.0 + 0.003 * invRng.gaussian());
+                (1.0 + PowerChannel::supplyRipple * invRng.gaussian());
             logger.sampleFaulted(s / PowerChannel::sampleHz, trueW,
                                  invRng, injector.next());
         }
@@ -605,7 +582,7 @@ ExperimentRunner::faultedMeasurement(const MachineConfig &cfg,
             s.expectedSamples / PowerChannel::sampleHz * 0.5;
         double prevTime = -1.0;
         for (const TraceSample &ts : s.trace) {
-            if (ts.timeSec == prevTime) {
+            if (exactlyEqual(ts.timeSec, prevTime)) {
                 ++m.samplesDuplicated;
                 continue;
             }

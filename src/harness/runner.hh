@@ -7,20 +7,19 @@
  * returns the Measurement the paper's analyses consume.
  *
  * Concurrency: every public method is safe to call from multiple
- * threads. The memo cache is sharded by key hash; each entry is
- * computed exactly once (std::call_once) while other threads asking
- * for the same experiment block until it is ready. Each processor's
- * models and sensor rig are built lazily the same way, together, in
- * one per-processor slot. Because each experiment derives its own
- * random stream from its key, results are bit-identical whatever the
- * thread count or execution order — the contract lhr::SweepEngine
- * builds on.
+ * threads. The memo cache is one map under one mutex; each entry is
+ * computed exactly once (std::call_once), outside that lock, while
+ * other threads asking for the same experiment block until it is
+ * ready. Each processor's models and sensor rig are built lazily the
+ * same way, together, in one per-processor slot. Because each
+ * experiment derives its own random stream from its key, results are
+ * bit-identical whatever the thread count or execution order — the
+ * contract lhr::SweepEngine builds on.
  */
 
 #ifndef LHR_HARNESS_RUNNER_HH
 #define LHR_HARNESS_RUNNER_HH
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -195,7 +194,7 @@ class ExperimentRunner
 
     /**
      * The exact cache/stream identity of one experiment — the string
-     * the memo shards and random streams key on:
+     * the memo cache and random streams key on:
      * configKey(cfg) + bench.name, built in one allocation (e.g.
      * "i7 (45)|4|2|2.667000|1|mcf"). These bytes seed every random
      * stream, so changing the format changes every output. The
@@ -205,15 +204,13 @@ class ExperimentRunner
                                            const Benchmark &bench);
 
     /**
-     * Memo-cache counters since construction (or the last reset).
-     * A miss is counted by the thread that inserts the entry; every
-     * other lookup of that key is a hit, including lookups that
-     * block while the inserting thread is still measuring.
+     * Memo-cache counters since construction; callers that want one
+     * phase's counts take before/after deltas. A miss is counted by
+     * the thread that inserts the entry; every other lookup of that
+     * key is a hit, including lookups that block while the inserting
+     * thread is still measuring.
      */
     CacheStats cacheStats() const;
-
-    /** Zero the hit/miss counters (entries stay cached). */
-    void resetCacheStats();
 
     /** Number of measurements currently memoized. */
     size_t cachedMeasurements() const;
@@ -268,44 +265,21 @@ class ExperimentRunner
         Measurement value;
     };
 
-    /**
-     * One memo-cache shard: a mutex plus the entries it guards. The
-     * hit/miss counters live per shard too (summed by cacheStats()),
-     * so the counter cache line is contended by at most the threads
-     * hashing into one shard instead of by every lookup in the
-     * process.
-     */
-    struct MemoShard
-    {
-        mutable std::mutex mutex;
-        // unique_ptr gives every entry a stable address: references
-        // handed out by measure() survive rehashing and concurrent
-        // inserts into the same shard.
-        // lhrlint:allow-next-line(det-unordered): keyed lookups only — the memo cache is never iterated (sweeps emit in row-major grid order)
-        std::unordered_map<std::string, std::unique_ptr<MemoEntry>>
-            entries;
-        std::atomic<uint64_t> hits{0};
-        std::atomic<uint64_t> misses{0};
-    };
-
-    static constexpr size_t memoShardCount = 16;
-
-    /** Where one experiment's memo entry lives (see memoSlot()). */
+    /** One experiment's memo entry (see claimMemo()). */
     struct MemoSlot
     {
-        MemoShard &shard;
-        MemoEntry *entry;  ///< nullptr: absent and not claimed
-        bool claimed;      ///< this call created the entry
+        MemoEntry &entry;
+        bool claimed; ///< this call created the entry
     };
 
     /**
-     * Find one experiment's memo entry under its shard's lock. With
-     * claim set, an absent key gets a fresh, unpublished entry that
-     * this call owns (claimed); otherwise an absent key yields a
-     * null entry. Touches no hit/miss counter.
+     * Find or insert one experiment's memo entry under memoMutex. An
+     * absent key gets a fresh, unpublished entry that this call owns
+     * (claimed). With count set, the lookup also counts as a miss
+     * (claimed) or a hit.
      */
-    MemoSlot memoSlot(const MachineConfig &cfg, const Benchmark &bench,
-                      bool claim) const;
+    MemoSlot claimMemo(const MachineConfig &cfg, const Benchmark &bench,
+                       bool count);
 
     const SpecSlot &specSlot(const ProcessorSpec &spec);
     Execution execution(const MachineConfig &cfg, const Benchmark &bench);
@@ -322,7 +296,13 @@ class ExperimentRunner
     FaultPlan faults;
     MeasurementPolicy policy;
 
-    mutable std::array<MemoShard, memoShardCount> memoShards;
+    mutable std::mutex memoMutex; ///< guards memo, memoHits, memoMisses
+    // unique_ptr gives every entry a stable address: references handed
+    // out by measure() survive rehashing and concurrent inserts.
+    // lhrlint:allow-next-line(det-unordered): keyed lookups only — the memo cache is never iterated (sweeps emit in row-major grid order)
+    std::unordered_map<std::string, std::unique_ptr<MemoEntry>> memo;
+    uint64_t memoHits = 0;
+    uint64_t memoMisses = 0;
 
     std::mutex specMutex; ///< guards specSlots
     // lhrlint:allow-next-line(det-unordered): keyed lookups only — the slot map is never iterated

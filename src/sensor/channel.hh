@@ -113,6 +113,12 @@ class PowerChannel
     static constexpr double zeroCurrentVolts = 2.5;
     static constexpr double sampleHz = 50.0;
 
+    /**
+     * Relative sigma of the 12V supply ripple (< 1%, section 2.5):
+     * each sample sees trueW = watts * (1 + supplyRipple * gaussian).
+     */
+    static constexpr double supplyRipple = 0.003;
+
     /** 10-bit ADC against a 5V reference. */
     static int quantize(double volts);
     static constexpr int adcCounts = 1024;

@@ -182,7 +182,7 @@ lhrSampleQuantizeAvx2Impl(const double *w, const double *g1,
 {
     using lhr::PowerChannel;
 
-    const __m256d rippleGain = _mm256_set1_pd(0.003);
+    const __m256d rippleGain = _mm256_set1_pd(PowerChannel::supplyRipple);
     const __m256d one = _mm256_set1_pd(1.0);
     const __m256d rail = _mm256_set1_pd(PowerChannel::railVolts);
     const __m256d rated = _mm256_set1_pd(p.ratedAmps);

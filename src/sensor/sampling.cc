@@ -112,7 +112,7 @@ sampleSessionWatts(const PowerChannel &channel,
             maxAbsW,
             std::fabs(phase_power_w[k] * invocation_power_scale));
     const double rippleSlope = countsPerVolt * p.sens *
-        std::fabs(p.gainFactor) * maxAbsW * 0.003 /
+        std::fabs(p.gainFactor) * maxAbsW * PowerChannel::supplyRipple /
         PowerChannel::railVolts;
     const double noiseSlope = countsPerVolt * p.noiseVolts;
     p.window = std::max(
@@ -122,11 +122,13 @@ sampleSessionWatts(const PowerChannel &channel,
     // this close to 0W goes through the exact path, where
     // countsFor() makes the check itself.
     p.zeroWattsGuard = std::max(
-        1e-9, 1e3 * maxAbsW * 0.003 * gaussKernelMaxError);
+        1e-9,
+        1e3 * maxAbsW * PowerChannel::supplyRipple * gaussKernelMaxError);
 
     // ---- Quantize the whole session in batch ----------------------
     // W[s] = phase power x invocation scale, the sample's pre-ripple
-    // watts; k = (s * phases) / samples tracked incrementally.
+    // watts; k = sessionPhase(s, phases, samples) tracked
+    // incrementally.
     double *W = gs + n;
     {
         int k = 0, rem = 0;
@@ -149,7 +151,8 @@ sampleSessionWatts(const PowerChannel &channel,
     // exact libm gaussians through the channel's own transfer.
     for (size_t u = 0; u < flagged; ++u) {
         const size_t s = static_cast<size_t>(uncertain[u]);
-        const double trueW = W[s] * (1.0 + 0.003 * exactG(2 * s));
+        const double trueW =
+            W[s] * (1.0 + PowerChannel::supplyRipple * exactG(2 * s));
         counts[s] = channel.countsFor(trueW, exactG(2 * s + 1));
     }
 

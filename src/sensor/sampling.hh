@@ -6,8 +6,9 @@
  * waveform into the sum of calibrated Hall-sensor readings:
  *
  *   for s in [0, samples):
- *     k      = phase index of sample s
- *     trueW  = phasePowerW[k] * scale * (1 + 0.003 * gaussian)
+ *     k      = sessionPhase(s, phases, samples)   // sensor/sensor.hh
+ *     trueW  = phasePowerW[k] * scale *
+ *              (1 + PowerChannel::supplyRipple * gaussian)
  *     counts = channel.sampleCounts(trueW, rng)   // 10-bit ADC
  *     wattsSum += calibration.wattsFromCounts(counts)
  *

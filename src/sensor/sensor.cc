@@ -3,6 +3,7 @@
 #include <cstdint>
 
 #include "machine/processor.hh"
+#include "sensor/channel.hh"
 #include "sensor/hall.hh"
 #include "sensor/rapl.hh"
 #include "util/hash.hh"
@@ -40,10 +41,9 @@ PowerSensor::sessionWatts(const double *phase_power_w, int phases,
     const SampleFault noFault;
     double sum = 0.0;
     for (int s = 0; s < samples; ++s) {
-        const int k = static_cast<int>(
-            static_cast<int64_t>(s) * phases / samples) % phases;
+        const int k = sessionPhase(s, phases, samples);
         const double trueW = phase_power_w[k] * scale *
-            (1.0 + 0.003 * inv_rng.gaussian());
+            (1.0 + PowerChannel::supplyRipple * inv_rng.gaussian());
         sum += session->read(trueW, inv_rng, noFault).watts;
     }
     return sum;

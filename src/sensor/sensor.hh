@@ -100,10 +100,11 @@ class PowerSensor
     /**
      * Run one clean (fault-free) sampling session over a phase power
      * waveform and return the sum of decoded watts — the harness's
-     * hot path. Sample s reads phase (s * phases) / samples with
-     * <1% supply ripple applied inside the session:
+     * hot path. Sample s reads phase k = sessionPhase(s, phases,
+     * samples) with supply ripple applied inside the session:
      *
-     *   trueW = phase_power_w[k] * scale * (1 + 0.003 * gaussian)
+     *   trueW = phase_power_w[k] * scale *
+     *           (1 + PowerChannel::supplyRipple * gaussian)
      *
      * The base implementation loops beginSession() + read(); the
      * Hall backend overrides it with the vectorized bit-exact
@@ -119,6 +120,17 @@ class PowerSensor
      */
     virtual const Calibration *calibration() const { return nullptr; }
 };
+
+/**
+ * The power phase sample s of a session reads: (s * phases) / samples,
+ * so a session's samples walk the waveform once, in order.
+ */
+inline int
+sessionPhase(int s, int phases, int samples)
+{
+    return static_cast<int>(static_cast<int64_t>(s) * phases / samples) %
+        phases;
+}
 
 /** Build a backend's sensor for a processor's rig. */
 std::unique_ptr<PowerSensor> makeSensor(SensorBackend backend,

@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 
+#include "util/fp.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -118,7 +119,7 @@ parseServeRequest(const std::string &body)
         constexpr double idLimit =
             -static_cast<double>(std::numeric_limits<long>::min());
         if (!(number >= -idLimit && number < idLimit) ||
-            number != std::trunc(number)) {
+            !exactlyEqual(number, std::trunc(number))) {
             return Status::error(StatusCode::InvalidArgument,
                                  "\"id\" must be an integer in the "
                                  "range of a long");
@@ -159,7 +160,7 @@ parseServeRequest(const std::string &body)
         // checks the processor's own range.
         if (!(number >= std::numeric_limits<int>::min() &&
               number <= std::numeric_limits<int>::max()) ||
-            number != std::trunc(number)) {
+            !exactlyEqual(number, std::trunc(number))) {
             return Status::error(StatusCode::InvalidArgument,
                                  "\"cores\" must be an integer");
         }

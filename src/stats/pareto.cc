@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/fp.hh"
+
 namespace lhr
 {
 
@@ -32,7 +34,7 @@ paretoFrontier(const std::vector<ParetoPoint> &points)
     }
     std::sort(frontier.begin(), frontier.end(),
               [](const ParetoPoint &a, const ParetoPoint &b) {
-                  if (a.performance != b.performance)
+                  if (!exactlyEqual(a.performance, b.performance))
                       return a.performance < b.performance;
                   return a.energy < b.energy;
               });

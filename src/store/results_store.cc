@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "util/csv.hh"
+#include "util/fp.hh"
 #include "util/logging.hh"
 
 namespace lhr
@@ -42,9 +43,10 @@ StoredResult::toMeasurement() const
 bool
 StoredResult::sameBits(const StoredResult &other) const
 {
-    return timeSec == other.timeSec &&
-        timeCi95Rel == other.timeCi95Rel && powerW == other.powerW &&
-        powerCi95Rel == other.powerCi95Rel;
+    return exactlyEqual(timeSec, other.timeSec) &&
+        exactlyEqual(timeCi95Rel, other.timeCi95Rel) &&
+        exactlyEqual(powerW, other.powerW) &&
+        exactlyEqual(powerCi95Rel, other.powerCi95Rel);
 }
 
 std::string

@@ -1,9 +1,6 @@
 #include "trace/lru_stack.hh"
 
 #include <bit>
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 #include <cstring>
 
 #include "util/logging.hh"
@@ -16,26 +13,10 @@ namespace
 
 constexpr size_t initialArena = 8192;
 
-#if defined(__x86_64__)
-/** BMI2 path: deposit a single bit at the rank-th set position. */
-__attribute__((target("bmi2"))) size_t
-selectBitPdep(uint64_t word, size_t rank)
-{
-    return static_cast<size_t>(
-        std::countr_zero(_pdep_u64(1ull << (rank - 1), word)));
-}
-
-const bool havePdep = __builtin_cpu_supports("bmi2");
-#endif
-
 /** 0-based position of the rank-th (1-indexed) set bit of word. */
 size_t
 selectBit(uint64_t word, size_t rank)
 {
-#if defined(__x86_64__)
-    if (havePdep)
-        return selectBitPdep(word, rank);
-#endif
     for (size_t i = 1; i < rank; ++i)
         word &= word - 1;
     return static_cast<size_t>(std::countr_zero(word));

@@ -2,10 +2,10 @@
  * @file
  * Named floating-point comparisons.
  *
- * A raw `==`/`!=` between doubles is ambiguous to a reader (and to
- * lhrlint's float-compare rule): is it a tolerance bug, a sentinel
- * check, or a deliberate bit-identity test? These helpers make the
- * intent part of the call site:
+ * A raw `==`/`!=` between doubles is ambiguous to a reader: is it a
+ * tolerance bug, a sentinel check, or a deliberate bit-identity test?
+ * The build compiles with -Werror=float-equal, so every exact compare
+ * goes through one of these helpers and names its intent:
  *
  *   nearlyEqual(a, b)   — tolerance comparison, the default for
  *                         anything that went through arithmetic;
@@ -44,19 +44,26 @@ nearlyEqual(double a, double b, double relTol = 1e-9,
     return diff <= relTol * scale;
 }
 
+// The two named exact compares are the one place -Wfloat-equal may
+// not fire.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wfloat-equal"
+
 /** Exact sentinel comparison; see the file comment for when. */
 [[nodiscard]] inline constexpr bool
 exactlyEqual(double a, double b)
 {
-    return a == b; // lhrlint:allow(float-compare): this is the named exact-compare helper
+    return a == b;
 }
 
 /** x is exactly 0.0 (or -0.0) — the unset-knob / zero-denominator check. */
 [[nodiscard]] inline constexpr bool
 exactZero(double x)
 {
-    return x == 0.0; // lhrlint:allow(float-compare): this is the named exact-compare helper
+    return x == 0.0;
 }
+
+#pragma GCC diagnostic pop
 
 } // namespace lhr
 

@@ -16,6 +16,7 @@
 #include "sensor/calibration.hh"
 #include "sensor/channel.hh"
 #include "sensor/trace_log.hh"
+#include "util/fp.hh"
 #include "util/status.hh"
 
 namespace lhr
@@ -30,7 +31,8 @@ samePaperFault(const SampleFault &a, const SampleFault &b)
 {
     return a.lost == b.lost && a.railed == b.railed &&
         a.extraCopies == b.extraCopies &&
-        a.powerScale == b.powerScale && a.countsGain == b.countsGain;
+        exactlyEqual(a.powerScale, b.powerScale) &&
+        exactlyEqual(a.countsGain, b.countsGain);
 }
 
 bool

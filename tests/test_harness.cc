@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "harness/aggregate.hh"
 #include "harness/reference.hh"
 #include "harness/runner.hh"
@@ -116,6 +120,73 @@ TEST(Runner, CachingReturnsSameObject)
     const Measurement &a = runner.measure(cfg, bench);
     const Measurement &b = runner.measure(cfg, bench);
     EXPECT_EQ(&a, &b);
+}
+
+TEST(Runner, MemoPeekOfAbsentKeyIsNullAndUncounted)
+{
+    ExperimentRunner runner(3);
+    EXPECT_EQ(runner.peekCache(stockConfig(i7()), benchmarkByName("db")),
+              nullptr);
+    EXPECT_EQ(runner.cacheStats().lookups(), 0u);
+    EXPECT_EQ(runner.cachedMeasurements(), 0u);
+}
+
+TEST(Runner, MemoSeededKeyIsOneHitOnTheSeededObject)
+{
+    ExperimentRunner runner(3);
+    const auto cfg = stockConfig(i7());
+    const auto &bench = benchmarkByName("db");
+    Measurement seeded;
+    seeded.timeSec = 12.5;
+    seeded.powerW = 40.25;
+    seeded.invocations = 20;
+    ASSERT_TRUE(runner.seedCache(cfg, bench, seeded));
+    EXPECT_EQ(runner.cacheStats().lookups(), 0u);
+
+    const Measurement *peeked = runner.peekCache(cfg, bench);
+    ASSERT_NE(peeked, nullptr);
+    EXPECT_TRUE(sameBits(*peeked, seeded));
+    EXPECT_EQ(&runner.measure(cfg, bench), peeked);
+    const CacheStats stats = runner.cacheStats();
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 0u);
+}
+
+TEST(Runner, MemoSeedOfCachedKeyIsRefused)
+{
+    ExperimentRunner runner(3);
+    const auto cfg = stockConfig(i7());
+    const auto &bench = benchmarkByName("mcf");
+    const Measurement &measured = runner.measure(cfg, bench);
+    Measurement other = measured;
+    other.powerW += 1.0;
+    EXPECT_FALSE(runner.seedCache(cfg, bench, other));
+    EXPECT_FALSE(runner.seedCache(cfg, bench, measured));
+    EXPECT_EQ(runner.peekCache(cfg, bench), &measured);
+    EXPECT_EQ(runner.cachedMeasurements(), 1u);
+}
+
+TEST(Runner, MemoPeekDuringMeasureIsNullOrPublished)
+{
+    // A Java key runs 20 invocations; while one thread is inside
+    // measure(), peekCache must answer nullptr or the published
+    // object, never a half-written one.
+    ExperimentRunner runner(3);
+    const auto cfg = stockConfig(i7());
+    const auto &bench = benchmarkByName("xalan");
+    std::atomic<const Measurement *> measured{nullptr};
+    std::thread producer(
+        [&] { measured.store(&runner.measure(cfg, bench)); });
+    std::vector<const Measurement *> published;
+    while (measured.load() == nullptr) {
+        if (const Measurement *p = runner.peekCache(cfg, bench))
+            published.push_back(p);
+    }
+    producer.join();
+    for (const Measurement *p : published)
+        EXPECT_EQ(p, measured.load());
+    EXPECT_EQ(runner.peekCache(cfg, bench), measured.load());
+    EXPECT_EQ(runner.cacheStats().lookups(), 1u);
 }
 
 TEST(Runner, InvocationCountsFollowMethodology)

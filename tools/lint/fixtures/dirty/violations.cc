@@ -1,5 +1,5 @@
-// Injected-violation fixture body: every determinism sin at once, a
-// raw float compare, and a bare suppression without a justification.
+// Injected-violation fixture body: every determinism sin at once and
+// a bare suppression without a justification.
 
 #include <chrono>
 #include <cstdlib>
@@ -22,9 +22,8 @@ entropySoup()
     double sum = 0.0;
     for (const auto &entry : order)
         sum += entry.second;
-    if (sum == 1.0)                        // float-compare
-        sum += std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
+    sum += std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+               .count();
     return sum;  // lhrlint:allow(det-clock)
 }

@@ -16,9 +16,8 @@ namespace
 {
 
 const char *const ruleIds[] = {
-    "det-random",   "det-clock",    "det-unordered",
-    "float-compare", "header-guard", "using-namespace-header",
-    "bare-allow",
+    "det-random",   "det-clock",              "det-unordered",
+    "header-guard", "using-namespace-header", "bare-allow",
 };
 
 bool
@@ -93,41 +92,6 @@ normalizePath(const std::string &path)
     while (p.rfind("./", 0) == 0)
         p.erase(0, 2);
     return p;
-}
-
-/**
- * A C++ floating-point literal token (after the lexer has isolated
- * it): digits with a '.' or an exponent, optional f/F/l/L suffix.
- * "a.b", "100", and "0x1p3" are not (member access, integer, and a
- * hex float nobody in this tree writes).
- */
-bool
-isFloatLiteral(std::string tok)
-{
-    while (!tok.empty() &&
-           (tok.back() == 'f' || tok.back() == 'F' ||
-            tok.back() == 'l' || tok.back() == 'L'))
-        tok.pop_back();
-    if (tok.empty() || tok.rfind("0x", 0) == 0 || tok.rfind("0X", 0) == 0)
-        return false;
-    bool digit = false, dot = false, exponent = false;
-    for (size_t i = 0; i < tok.size(); ++i) {
-        const char c = tok[i];
-        if (std::isdigit(static_cast<unsigned char>(c))) {
-            digit = true;
-        } else if (c == '.') {
-            dot = true;
-        } else if (c == 'e' || c == 'E') {
-            exponent = true;
-        } else if (c == '+' || c == '-') {
-            // Only legal right after an exponent marker.
-            if (i == 0 || (tok[i - 1] != 'e' && tok[i - 1] != 'E'))
-                return false;
-        } else {
-            return false;
-        }
-    }
-    return digit && (dot || exponent);
 }
 
 /** Lines (1-based index 0 unused) of one view, split on '\n'. */
@@ -246,60 +210,6 @@ scanDeterminism(const SourceViews &views,
                      " iterates in unspecified order; use an ordered "
                      "container, or justify a lookup-only use with "
                      "lhrlint:allow"});
-        }
-    }
-}
-
-void
-scanFloatCompare(const SourceViews &views, const std::string &path,
-                 std::vector<Finding> &out)
-{
-    const std::string &code = views.code;
-    for (size_t i = 0; i + 1 < code.size(); ++i) {
-        const bool eq = code[i] == '=' && code[i + 1] == '=';
-        const bool ne = code[i] == '!' && code[i + 1] == '=';
-        if (!eq && !ne)
-            continue;
-        if (eq && i > 0 &&
-            (code[i - 1] == '=' || code[i - 1] == '!' ||
-             code[i - 1] == '<' || code[i - 1] == '>'))
-            continue; // the '=' of !=, <=, >=, ==
-
-        // Left operand token: scan back over one literal/identifier.
-        // A '+'/'-' is part of the token only inside an exponent
-        // ("2.5e-3"); isFloatLiteral rejects identifiers that merely
-        // end in e ("base-3").
-        size_t l = i;
-        while (l > 0 && isSpace(code[l - 1]))
-            --l;
-        size_t lstart = l;
-        while (lstart > 0 &&
-               (isIdentChar(code[lstart - 1]) || code[lstart - 1] == '.' ||
-                ((code[lstart - 1] == '+' || code[lstart - 1] == '-') &&
-                 lstart >= 2 &&
-                 (code[lstart - 2] == 'e' || code[lstart - 2] == 'E'))))
-            --lstart;
-        const std::string left = code.substr(lstart, l - lstart);
-
-        // Right operand token (optional unary sign, exponent signs).
-        size_t r = skipWs(code, i + 2);
-        if (r < code.size() && (code[r] == '+' || code[r] == '-'))
-            r = skipWs(code, r + 1);
-        size_t rend = r;
-        while (rend < code.size() &&
-               (isIdentChar(code[rend]) || code[rend] == '.' ||
-                ((code[rend] == '+' || code[rend] == '-') && rend > r &&
-                 (code[rend - 1] == 'e' || code[rend - 1] == 'E'))))
-            ++rend;
-        const std::string right = code.substr(r, rend - r);
-
-        if (isFloatLiteral(left) || isFloatLiteral(right)) {
-            out.push_back(
-                {path, views.lineAt(i), "float-compare",
-                 "raw " + std::string(eq ? "==" : "!=") +
-                     " against a floating-point literal; name the "
-                     "intent via util/fp.hh (nearlyEqual, exactZero, "
-                     "exactlyEqual)"});
         }
     }
 }
@@ -614,7 +524,6 @@ lintText(const std::string &path, const std::string &text,
 
     std::vector<Finding> raw;
     scanDeterminism(views, rawLines, path, raw);
-    scanFloatCompare(views, path, raw);
     scanHeaderRules(views, rawLines, path, raw);
 
     std::vector<Finding> bare;

@@ -7,11 +7,13 @@
  * suppressible rules. The golden-hash tests and sanitizer CI jobs
  * catch these bug classes *dynamically* when a test happens to
  * sample them; lhrlint catches them at lint time, before a stray
- * wall-clock read ever reaches a thousand-node sweep. A silently
- * discarded Status is the compiler's job, not lhrlint's:
- * `class [[nodiscard]] Status` / `Expected` plus
- * -Werror=unused-result make it a compile error (ctest
- * `discarded_status_fails_to_compile` keeps that true).
+ * wall-clock read ever reaches a thousand-node sweep. Two contracts
+ * are the compiler's job, not lhrlint's: a silently discarded Status
+ * (`class [[nodiscard]] Status` / `Expected` plus
+ * -Werror=unused-result; ctest `discarded_status_fails_to_compile`)
+ * and a raw float ==/!= (-Werror=float-equal, with the named
+ * util/fp.hh helpers as the one exemption; ctest
+ * `float_equal_fails_to_compile`).
  *
  * Rule catalog (see DESIGN.md §10 for the policy discussion):
  *
@@ -24,9 +26,6 @@
  *   det-unordered     std::unordered_map/set use — iteration order
  *                     is unspecified and can leak into output;
  *                     lookup-only uses carry a justified allow
- *   float-compare     raw ==/!= against a floating-point literal —
- *                     use the util/fp.hh helpers (nearlyEqual /
- *                     exactZero / exactlyEqual) so intent is named
  *   header-guard      headers must open with #pragma once or an
  *                     #ifndef/#define guard
  *   using-namespace-header
