@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/perf_compare.hh"
+#include "perf_compare.hh"
 
 namespace
 {

@@ -9,21 +9,27 @@
  *   e.g. clock_energy_sweep "i5 (32)" 7
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "core/lab.hh"
+#include "util/env.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 
 int
 main(int argc, char **argv)
 {
     const std::string id = argc > 1 ? argv[1] : "i7 (45)";
-    const int steps = argc > 2 ? std::atoi(argv[2]) : 6;
+    if (!lhr::findProcessor(id))
+        lhr::fatal("unknown processor '" + id + "'");
+    const lhr::Expected<long> steps =
+        argc > 2 ? lhr::parseInt(argv[2], 2, 32) : lhr::Expected<long>(6);
+    if (!steps.ok())
+        lhr::fatal("steps: " + steps.status().message());
 
     lhr::Lab lab;
-    const auto sweep =
-        lhr::clockSweep(lab.runner(), lab.reference(), id, steps);
+    const auto sweep = lhr::clockSweep(lab.runner(), lab.reference(), id,
+                                       static_cast<int>(steps.value()));
 
     std::cout << "Clock sweep of " << id
               << " (all values relative to the lowest clock)\n\n";

@@ -13,6 +13,7 @@
 
 #include "core/lab.hh"
 #include "power/meters.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 
 int
@@ -21,14 +22,20 @@ main(int argc, char **argv)
     const std::string benchName = argc > 1 ? argv[1] : "pjbb2005";
     const std::string procId = argc > 2 ? argv[2] : "i7 (45)";
 
+    const lhr::Benchmark *bench = lhr::findBenchmark(benchName);
+    if (!bench)
+        lhr::fatal("unknown benchmark '" + benchName + "'");
+    const lhr::ProcessorSpec *spec = lhr::findProcessor(procId);
+    if (!spec)
+        lhr::fatal("unknown processor '" + procId + "'");
+
     lhr::Lab lab;
-    const auto cfg = lhr::stockConfig(lhr::processorById(procId));
-    const auto &bench = lhr::benchmarkByName(benchName);
+    const auto cfg = lhr::stockConfig(*spec);
 
     double duration = 0.0;
-    const auto meters = lab.runner().meterRun(cfg, bench, &duration);
+    const auto meters = lab.runner().meterRun(cfg, *bench, &duration);
 
-    std::cout << "Structure meters for " << bench.name << " on "
+    std::cout << "Structure meters for " << bench->name << " on "
               << cfg.label() << " (" << lhr::formatFixed(duration, 2)
               << " s, energy unit "
               << lhr::formatFixed(1e6 * meters.energyUnitJ(), 2)
@@ -56,7 +63,7 @@ main(int argc, char **argv)
     table.print(std::cout);
 
     std::cout << "\nExternal Hall-sensor measurement for comparison: "
-              << lhr::formatFixed(lab.measure(cfg, bench).powerW, 2)
+              << lhr::formatFixed(lab.measure(cfg, *bench).powerW, 2)
               << " W\n";
     return 0;
 }

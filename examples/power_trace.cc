@@ -14,6 +14,7 @@
 
 #include "core/lab.hh"
 #include "util/logging.hh"
+#include "sensor/hall.hh"
 #include "sensor/trace_log.hh"
 #include "util/table.hh"
 
@@ -42,7 +43,8 @@ main(int argc, char **argv)
     const lhr::PowerChannel channel(lhr::SensorVariant::A30, 99);
     lhr::Rng calRng(100);
     const auto cal = lhr::Calibration::calibrate(channel, calRng);
-    lhr::PowerTraceLogger logger(channel, cal);
+    lhr::HallSession session(channel, cal);
+    lhr::PowerTraceLogger logger(session);
 
     lhr::Rng rng(101);
     const double logged = std::min(duration, 20.0);

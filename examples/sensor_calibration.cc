@@ -8,19 +8,24 @@
  * Usage: sensor_calibration [device-seed]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "sensor/calibration.hh"
 #include "sensor/channel.hh"
 #include "stats/summary.hh"
+#include "util/env.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 
 int
 main(int argc, char **argv)
 {
-    const uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                   : 42;
+    const std::optional<uint64_t> parsed =
+        argc > 1 ? lhr::parseSeed(argv[1]) : std::optional<uint64_t>(42);
+    if (!parsed)
+        lhr::fatal(std::string("malformed device seed '") + argv[1] + "'");
+    const uint64_t seed = *parsed;
 
     std::cout << "Calibrating an ACS714 +-5A channel (device seed "
               << seed << ")\n\n";

@@ -9,18 +9,30 @@
  * Usage: thermal_throttle [power_watts] [seconds]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "core/lab.hh"
 #include "power/thermal_transient.hh"
+#include "util/env.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 
 int
 main(int argc, char **argv)
 {
-    const double watts = argc > 1 ? std::atof(argv[1]) : 138.0;
-    const double seconds = argc > 2 ? std::atof(argv[2]) : 120.0;
+    const lhr::Expected<double> wattsArg =
+        argc > 1 ? lhr::parseReal(argv[1]) : lhr::Expected<double>(138.0);
+    if (!wattsArg.ok() || wattsArg.value() < 0.0 ||
+        wattsArg.value() > 1000.0) {
+        lhr::fatal(std::string("power_watts takes a number in 0..1000, "
+                               "got '") + argv[1] + "'");
+    }
+    const lhr::Expected<long> secondsArg =
+        argc > 2 ? lhr::parseInt(argv[2], 0, 86400) : lhr::Expected<long>(120);
+    if (!secondsArg.ok())
+        lhr::fatal("seconds: " + secondsArg.status().message());
+    const double watts = wattsArg.value();
+    const long seconds = secondsArg.value();
 
     const auto cfg =
         lhr::stockConfig(lhr::processorById("i7 (45)"));
@@ -40,7 +52,7 @@ main(int argc, char **argv)
     table.addColumn("Clock GHz");
 
     double clock = cfg.clockGhz;
-    for (int t = 0; t <= static_cast<int>(seconds); ++t) {
+    for (int t = 0; t <= seconds; ++t) {
         clock = throttle.step(
             [&](double f) {
                 // Power tracks clock roughly linearly near the top.

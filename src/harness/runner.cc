@@ -533,8 +533,8 @@ ExperimentRunner::faultedMeasurement(const MachineConfig &cfg,
             const int k = sessionPhase(s, powerPhases, samples);
             const double trueW = phasePowerW[k] * draw.powerScale *
                 (1.0 + PowerChannel::supplyRipple * invRng.gaussian());
-            logger.sampleFaulted(s / PowerChannel::sampleHz, trueW,
-                                 invRng, injector.next());
+            logger.sample(s / PowerChannel::sampleHz, trueW, invRng,
+                          injector.next());
         }
         out.lost = static_cast<long>(logger.lostSamples());
         out.trace = logger.samples();

@@ -117,14 +117,12 @@ class ExperimentRunner
      * results taken under another plan would silently mix in).
      */
     void setFaultPlan(FaultPlan plan);
-    const FaultPlan &faultPlan() const { return faults; }
 
     /**
      * Install the recovery policy (see MeasurementPolicy). Same
      * no-cached-measurements precondition as setFaultPlan().
      */
     void setMeasurementPolicy(const MeasurementPolicy &policy);
-    const MeasurementPolicy &measurementPolicy() const { return policy; }
 
     /**
      * The deterministic execution profile (no sensor, no noise) at

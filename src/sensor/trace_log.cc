@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sensor/hall.hh"
 #include "stats/summary.hh"
 #include "util/csv.hh"
 #include "util/logging.hh"
@@ -11,28 +10,14 @@
 namespace lhr
 {
 
-PowerTraceLogger::PowerTraceLogger(const PowerChannel &channel,
-                                   const Calibration &calibration)
-    : ownedSession(std::make_unique<HallSession>(channel, calibration)),
-      session(*ownedSession)
-{
-}
-
 PowerTraceLogger::PowerTraceLogger(SensorSession &session_)
     : session(session_)
 {
 }
 
 void
-PowerTraceLogger::sample(double time_sec, double true_watts, Rng &rng)
-{
-    const SensorReading r = session.read(true_watts, rng, SampleFault{});
-    log.push_back({time_sec, r.code, r.watts});
-}
-
-void
-PowerTraceLogger::sampleFaulted(double time_sec, double true_watts,
-                                Rng &rng, const SampleFault &fault)
+PowerTraceLogger::sample(double time_sec, double true_watts, Rng &rng,
+                         const SampleFault &fault)
 {
     // The session always converts (rng draws are consumed as on the
     // clean path); the fault's recording effects act on what the

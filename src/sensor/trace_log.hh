@@ -13,13 +13,10 @@
 #define LHR_SENSOR_TRACE_LOG_HH
 
 #include <cstddef>
-#include <memory>
 #include <ostream>
 #include <vector>
 
 #include "fault/fault.hh"
-#include "sensor/calibration.hh"
-#include "sensor/channel.hh"
 #include "sensor/sensor.hh"
 
 namespace lhr
@@ -38,13 +35,6 @@ class PowerTraceLogger
 {
   public:
     /**
-     * Bind to a Hall channel and its calibration (the historical
-     * rig): logs through an internally owned HallSession.
-     */
-    PowerTraceLogger(const PowerChannel &channel,
-                     const Calibration &calibration);
-
-    /**
      * Bind to an already-begun sensor session of any backend. The
      * session must outlive the logger.
      */
@@ -52,20 +42,16 @@ class PowerTraceLogger
 
     /**
      * Sample a true power value at a timestamp (the harness calls
-     * this at the 50Hz grid).
+     * this at the 50Hz grid), with a fault decision applied. The
+     * sensor always converts — a fault consumes the same rng draws
+     * as the clean path — and the fault acts on what the logger
+     * records: a lost slot is counted but not logged, a railed slot
+     * records the channel's rail counts, calibration drift rescales
+     * the counts about the zero-current code, duplicates re-log the
+     * slot. The default, an empty SampleFault, logs the slot as read.
      */
-    void sample(double time_sec, double true_watts, Rng &rng);
-
-    /**
-     * sample() with a fault decision applied. The sensor always
-     * converts — the same rng draws are consumed as on the clean
-     * path — and the fault acts on what the logger records: a lost
-     * slot is counted but not logged, a railed slot records the
-     * channel's rail counts, calibration drift rescales the counts
-     * about the zero-current code, duplicates re-log the slot.
-     */
-    void sampleFaulted(double time_sec, double true_watts, Rng &rng,
-                       const SampleFault &fault);
+    void sample(double time_sec, double true_watts, Rng &rng,
+                const SampleFault &fault = {});
 
     /** Slots the logger missed (drops + post-disconnect). */
     size_t lostSamples() const { return lostCount; }
@@ -103,7 +89,6 @@ class PowerTraceLogger
     }
 
   private:
-    std::unique_ptr<SensorSession> ownedSession; ///< legacy ctor only
     SensorSession &session;
     std::vector<TraceSample> log;
     size_t lostCount = 0;

@@ -77,13 +77,14 @@ struct Counters
     std::atomic<uint64_t> internalErrors{0};
 };
 
-/** A reply send can only fail because the client left; that is load. */
+/**
+ * A reply send can only fail because the client left; that is load,
+ * not an error, so the failed send is dropped.
+ */
 void
 sendBestEffort(ClientConn &conn, const std::string &body)
 {
-    const Status status = conn.send(body);
-    if (!status.ok())
-        inform("serve: client gone before reply: " + status.message());
+    (void)conn.send(body);
 }
 
 } // namespace
@@ -357,7 +358,6 @@ LabServer::serve()
     Expected<Socket> listener = listenUnix(impl->options.socketPath);
     if (!listener.ok())
         return listener.status();
-    inform("serve: listening on " + impl->options.socketPath);
 
     // The live connections: one reader thread each. A finished one
     // is joined on the loop's next pass, so a closed connection does
@@ -419,7 +419,6 @@ LabServer::serve()
     for (ConnThread &c : connThreads)
         c.thread.join();
     impl->pool.wait();
-    inform("serve: drained cleanly");
     return Status();
 }
 

@@ -110,12 +110,6 @@ class AddressGenerator
     /** Bound on the modeled stack (blocks); beyond is cold. */
     static constexpr size_t maxStackBlocks = 1u << 20;
 
-    /** Pareto scale parameter derived from the curve (blocks). */
-    double paretoScaleBlocks() const { return k0Blocks; }
-
-    /** Probability an access is a cold/streaming miss. */
-    double coldProbability() const { return coldProb; }
-
   private:
     size_t sampleDepth();
 

@@ -6,23 +6,6 @@
 namespace lhr
 {
 
-namespace
-{
-LogLevel globalLevel = LogLevel::Warn;
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    globalLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return globalLevel;
-}
-
 void
 panic(const std::string &msg)
 {
@@ -40,15 +23,7 @@ fatal(const std::string &msg)
 void
 warn(const std::string &msg)
 {
-    if (globalLevel >= LogLevel::Warn)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-inform(const std::string &msg)
-{
-    if (globalLevel >= LogLevel::Info)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 } // namespace lhr

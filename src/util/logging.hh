@@ -1,12 +1,12 @@
 /**
  * @file
- * Status-message and error-reporting helpers in the gem5 spirit.
+ * Error-reporting helpers in the gem5 spirit. Each writes one
+ * prefixed line to stderr; there is no verbosity setting.
  *
- * panic()  — an internal invariant was violated: a bug in lhrlab itself.
- * fatal()  — the simulation cannot continue because of a user error
- *            (bad configuration, invalid arguments).
- * warn()   — something is approximated or suspicious but survivable.
- * inform() — normal operating status for the user.
+ * panic() — an internal invariant was violated: a bug in lhrlab itself.
+ * fatal() — the simulation cannot continue because of a user error
+ *           (bad configuration, invalid arguments).
+ * warn()  — something is approximated or suspicious but survivable.
  */
 
 #ifndef LHR_UTIL_LOGGING_HH
@@ -17,20 +17,6 @@
 
 namespace lhr
 {
-
-/** Verbosity levels understood by setLogLevel(). */
-enum class LogLevel
-{
-    Silent,  ///< suppress warn() and inform()
-    Warn,    ///< show warn() only
-    Info     ///< show warn() and inform()
-};
-
-/** Set the global log verbosity. Default is LogLevel::Warn. */
-void setLogLevel(LogLevel level);
-
-/** Current global log verbosity. */
-LogLevel logLevel();
 
 /**
  * Report an internal invariant violation and abort().
@@ -43,11 +29,8 @@ LogLevel logLevel();
  */
 [[noreturn]] void fatal(const std::string &msg);
 
-/** Report a survivable anomaly (shown at LogLevel::Warn and above). */
+/** Report a survivable anomaly and continue. */
 void warn(const std::string &msg);
-
-/** Report normal status (shown at LogLevel::Info). */
-void inform(const std::string &msg);
 
 /**
  * Build a message from stream-formattable pieces.

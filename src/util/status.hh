@@ -121,12 +121,6 @@ class [[nodiscard]] Expected
         return errorStatus;
     }
 
-    /** The value, or `fallback` when this holds an error. */
-    [[nodiscard]] T valueOr(T fallback) const
-    {
-        return ok() ? *held : std::move(fallback);
-    }
-
   private:
     void requireValue() const
     {

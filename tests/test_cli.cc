@@ -1,13 +1,13 @@
 /**
  * @file
  * Exit-code and error-path tests of the lhrlab command-line front
- * end, run against the real binary (path baked in by CMake as
- * LHR_LHRLAB_BIN). The contract under test: a command line that
- * breaks lhrlab's one grammar (unknown command or flag, missing or
- * malformed value, wrong number of arguments) exits 2 with the usage
- * text; a failed lookup or run exits 1 with a `fatal:` line — never
- * the old atoi-style silent success where "--jobs banana" quietly
- * meant something else.
+ * end and the example programs, run against the real binaries (their
+ * directory baked in by CMake as LHR_EXAMPLE_DIR). The contract under
+ * test: a command line that breaks lhrlab's one grammar (unknown
+ * command or flag, missing or malformed value, wrong number of
+ * arguments) exits 2 with the usage text; a failed lookup or run
+ * exits 1 with a `fatal:` line — never the old atoi-style silent
+ * success where "--jobs banana" quietly meant something else.
  */
 
 #include <gtest/gtest.h>
@@ -32,12 +32,16 @@ struct CliResult
     std::string output; ///< stdout and stderr, interleaved
 };
 
-/** Run lhrlab with `args`; `env` prefixes VAR=value assignments. */
+/**
+ * Run the example program `name` with `args`; `env` prefixes
+ * VAR=value assignments.
+ */
 CliResult
-runCli(const std::string &args, const std::string &env = "")
+runExample(const std::string &name, const std::string &args,
+           const std::string &env = "")
 {
-    const std::string cmd = env + " " + std::string(LHR_LHRLAB_BIN) +
-        " " + args + " 2>&1";
+    const std::string cmd = env + " " + std::string(LHR_EXAMPLE_DIR) +
+        "/" + name + " " + args + " 2>&1";
     FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << cmd;
     CliResult result;
@@ -49,6 +53,12 @@ runCli(const std::string &args, const std::string &env = "")
     result.exitCode =
         WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     return result;
+}
+
+CliResult
+runCli(const std::string &args, const std::string &env = "")
+{
+    return runExample("lhrlab", args, env);
 }
 
 bool
@@ -463,4 +473,30 @@ TEST(Cli, DeadlineBeyondTheCapExitsTwo)
         runCli("loadgen --socket /nonexistent/s.sock --deadline 1e13");
     EXPECT_EQ(r.exitCode, 2);
     EXPECT_TRUE(mentions(r, "--deadline takes milliseconds")) << r.output;
+}
+
+TEST(Cli, ExamplesRejectMistypedArgumentsWithFatal)
+{
+    // A typo'd argument to an example is a user error, not a bug: it
+    // must exit 1 with a fatal: line, neither abort with a panic nor
+    // run on a silently substituted 0.
+    const struct
+    {
+        const char *name;
+        const char *args;
+    } cases[] = {
+        {"clock_energy_sweep", "'i7 (45)' banana"},
+        {"clock_energy_sweep", "'i9 (7)'"},
+        {"onchip_meters", "mcf 'i9 (7)'"},
+        {"onchip_meters", "nosuch"},
+        {"thermal_throttle", "banana"},
+        {"sensor_calibration", "xyz"},
+    };
+    for (const auto &c : cases) {
+        const CliResult r = runExample(c.name, c.args);
+        EXPECT_EQ(r.exitCode, 1) << c.name << " " << c.args << "\n"
+                                 << r.output;
+        EXPECT_TRUE(mentions(r, "fatal: ")) << c.name << " " << c.args
+                                            << "\n" << r.output;
+    }
 }

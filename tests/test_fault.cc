@@ -15,6 +15,7 @@
 #include "harness/runner.hh"
 #include "sensor/calibration.hh"
 #include "sensor/channel.hh"
+#include "sensor/hall.hh"
 #include "sensor/trace_log.hh"
 #include "util/fp.hh"
 #include "util/status.hh"
@@ -196,23 +197,23 @@ TEST(TraceLog, FaultedSamplingCountsAndLogs)
     Rng calRng(0xCAFE);
     const Calibration calib =
         Calibration::calibrate(channel, calRng);
-    PowerTraceLogger logger(channel, calib);
+    HallSession session(channel, calib);
+    PowerTraceLogger logger(session);
     Rng rng(0xD00D);
 
-    SampleFault clean;
-    logger.sampleFaulted(0.00, 40.0, rng, clean);
+    logger.sample(0.00, 40.0, rng);
 
     SampleFault lost;
     lost.lost = true;
-    logger.sampleFaulted(0.02, 40.0, rng, lost);
+    logger.sample(0.02, 40.0, rng, lost);
 
     SampleFault duplicated;
     duplicated.extraCopies = 2;
-    logger.sampleFaulted(0.04, 40.0, rng, duplicated);
+    logger.sample(0.04, 40.0, rng, duplicated);
 
     SampleFault railed;
     railed.railed = true;
-    logger.sampleFaulted(0.06, 40.0, rng, railed);
+    logger.sample(0.06, 40.0, rng, railed);
 
     // 1 clean + (1 + 2 copies) + 1 railed; the lost slot is counted
     // but never logged.

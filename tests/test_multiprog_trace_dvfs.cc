@@ -11,6 +11,7 @@
 #include "analysis/dvfs_study.hh"
 #include "core/lab.hh"
 #include "harness/multiprog.hh"
+#include "sensor/hall.hh"
 #include "sensor/trace_log.hh"
 
 namespace lhr
@@ -106,7 +107,8 @@ TEST(TraceLog, RecordsAndSummarizes)
     const PowerChannel channel(SensorVariant::A5, 3);
     Rng calRng(4);
     const auto cal = Calibration::calibrate(channel, calRng);
-    PowerTraceLogger logger(channel, cal);
+    HallSession session(channel, cal);
+    PowerTraceLogger logger(session);
 
     Rng rng(5);
     for (int i = 0; i < 500; ++i)
@@ -127,7 +129,8 @@ TEST(TraceLog, CsvShape)
     const PowerChannel channel(SensorVariant::A5, 6);
     Rng calRng(7);
     const auto cal = Calibration::calibrate(channel, calRng);
-    PowerTraceLogger logger(channel, cal);
+    HallSession session(channel, cal);
+    PowerTraceLogger logger(session);
     Rng rng(8);
     logger.sample(0.0, 30.0, rng);
     logger.sample(0.02, 30.0, rng);
@@ -144,7 +147,8 @@ TEST(TraceLog, EmptyAndBadInputsPanic)
     const PowerChannel channel(SensorVariant::A5, 9);
     Rng calRng(10);
     const auto cal = Calibration::calibrate(channel, calRng);
-    PowerTraceLogger logger(channel, cal);
+    HallSession session(channel, cal);
+    PowerTraceLogger logger(session);
     EXPECT_DEATH(logger.meanW(), "empty");
     Rng rng(11);
     logger.sample(0.0, 10.0, rng);

@@ -16,7 +16,7 @@
 
 #include <sys/wait.h>
 
-#include "analysis/perf_compare.hh"
+#include "perf_compare.hh"
 #include "util/json.hh"
 
 namespace lhr

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for logging levels, table formatting, and CSV emission.
+ * Tests for message formatting, table formatting, and CSV emission.
  */
 
 #include <gtest/gtest.h>
@@ -18,16 +18,6 @@ TEST(Logging, MsgOfConcatenates)
 {
     EXPECT_EQ(msgOf("a", 1, "b", 2.5), "a1b2.5");
     EXPECT_EQ(msgOf(), "");
-}
-
-TEST(Logging, LevelRoundTrip)
-{
-    const LogLevel old = logLevel();
-    setLogLevel(LogLevel::Silent);
-    EXPECT_EQ(logLevel(), LogLevel::Silent);
-    setLogLevel(LogLevel::Info);
-    EXPECT_EQ(logLevel(), LogLevel::Info);
-    setLogLevel(old);
 }
 
 TEST(Table, FormatFixed)
