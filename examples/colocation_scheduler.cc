@@ -17,6 +17,7 @@
 
 #include "core/lab.hh"
 #include "harness/corun.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 
 namespace
@@ -68,8 +69,12 @@ search(const std::vector<std::vector<double>> &penalty,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (argc > 1)
+        lhr::fatal(std::string("unexpected argument '") + argv[1] +
+                   "' (colocation_scheduler takes none)");
+
     lhr::Lab lab;
     lhr::CoRunner corunner(lab.runner());
     const auto cfg = lhr::stockConfig(lhr::processorById("C2D (65)"));

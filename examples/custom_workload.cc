@@ -12,11 +12,16 @@
 #include <iostream>
 
 #include "core/lab.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (argc > 1)
+        lhr::fatal(std::string("unexpected argument '") + argv[1] +
+                   "' (custom_workload takes none)");
+
     // Describe the workload. Field meanings are documented on
     // lhr::Benchmark; miss-curve parameters are what you would
     // measure with cachegrind or performance counters.

@@ -19,6 +19,9 @@
 int
 main(int argc, char **argv)
 {
+    if (argc > 2)
+        lhr::fatal(std::string("unexpected argument '") + argv[2] +
+                   "' (usage: design_space_pareto [group])");
     const std::string which = argc > 1 ? argv[1] : "avg";
     std::optional<lhr::Group> group;
     if (which == "nn")

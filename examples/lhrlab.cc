@@ -30,6 +30,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <malloc.h>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -310,6 +311,10 @@ cmdRun(const Args &args)
         options.format != lhr::OutputFormat::Text)
         usageError("csv/json output of multiple studies needs --out DIR");
 
+    // One malloc arena for every study worker: each thread would
+    // otherwise grow an arena of its own, and the run's peak RSS
+    // with it. Only `run` sets it; serve keeps glibc's default.
+    mallopt(M_ARENA_MAX, 1);
     lhr::Lab lab(seed, gSensor);
     const lhr::Status ran = lhr::runStudies(lab, studies, options);
     if (!ran.ok())

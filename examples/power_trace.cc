@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <iostream>
+#include <string>
 
 #include "core/lab.hh"
 #include "util/logging.hh"
@@ -21,8 +22,11 @@
 int
 main(int argc, char **argv)
 {
+    if (argc > 3 || (argc == 3 && std::strcmp(argv[2], "--csv") != 0))
+        lhr::fatal(std::string("unexpected argument '") + argv[argc - 1] +
+                   "' (usage: power_trace [benchmark] [--csv])");
     const std::string benchName = argc > 1 ? argv[1] : "gcc";
-    const bool emitCsv = argc > 2 && std::strcmp(argv[2], "--csv") == 0;
+    const bool emitCsv = argc == 3;
 
     lhr::Lab lab;
     const auto &spec = lhr::processorById("i7 (45)");

@@ -7,6 +7,7 @@
  */
 
 #include <iostream>
+#include <string>
 
 #include "core/lab.hh"
 #include "util/logging.hh"
@@ -15,6 +16,9 @@
 int
 main(int argc, char **argv)
 {
+    if (argc > 2)
+        lhr::fatal(std::string("unexpected argument '") + argv[2] +
+                   "' (usage: quickstart [benchmark-name])");
     const std::string benchName = argc > 1 ? argv[1] : "mcf";
     const lhr::Benchmark *found = lhr::findBenchmark(benchName);
     if (!found) {

@@ -23,7 +23,7 @@ isPowerOfTwo(int x)
 
 CacheArray::CacheArray(double capacity_kb, int ways, int line_bytes)
     : wayCount(static_cast<size_t>(ways)), accessCount(0),
-      missCount(0), stamp(0)
+      missCount(0)
 {
     if (capacity_kb <= 0.0 || ways < 1 || !isPowerOfTwo(line_bytes))
         panic("CacheArray: invalid geometry");
@@ -37,7 +37,7 @@ CacheArray::CacheArray(double capacity_kb, int ways, int line_bytes)
     setShift = static_cast<unsigned>(std::countr_zero(setCount));
     setMask = setCount - 1;
     tags.assign(setCount * wayCount, 0);
-    ages.assign(setCount * wayCount, 0);
+    validWays.assign(setCount, 0);
 }
 
 double
@@ -51,44 +51,9 @@ CacheArray::missRatio() const
 void
 CacheArray::reset()
 {
-    std::fill(ages.begin(), ages.end(), 0);
-    stamp = 0;
+    std::fill(validWays.begin(), validWays.end(), 0);
     accessCount = 0;
     missCount = 0;
-}
-
-void
-CacheArray::advanceStampForTest(uint32_t value)
-{
-    if (value < stamp)
-        panic("CacheArray::advanceStampForTest: clock would go back");
-    stamp = value;
-}
-
-void
-CacheArray::rebase()
-{
-    std::vector<uint32_t> order(wayCount);
-    uint32_t top = 0;
-    for (size_t set = 0; set < setCount; ++set) {
-        uint32_t *setAges = &ages[set * wayCount];
-        // Valid ages are distinct, so sorting them gives each way's
-        // rank; invalid ways (age 0) sort first and stay 0.
-        order.assign(setAges, setAges + wayCount);
-        std::sort(order.begin(), order.end());
-        const auto firstValid = std::upper_bound(
-            order.begin(), order.end(), uint32_t{0});
-        for (size_t way = 0; way < wayCount; ++way) {
-            if (setAges[way] == 0)
-                continue;
-            const auto rank = std::lower_bound(firstValid, order.end(),
-                                               setAges[way]) -
-                firstValid + 1;
-            setAges[way] = static_cast<uint32_t>(rank);
-            top = std::max(top, setAges[way]);
-        }
-    }
-    stamp = top;
 }
 
 TlbArray::TlbArray(int entries, int page_bytes)

@@ -9,19 +9,22 @@
  * executions, and (b) cross-validate the analytic curves
  * (`lhrlab run ablation_tracesim`).
  *
- * The arrays store tags and last-touch ages in flat contiguous
- * vectors (no per-set node containers): LRU ordering is recovered by
- * comparing ages, which makes hit/miss decisions identical to an
- * explicit recency list while doing no allocation or element
- * shuffling on the access path. Ages are 32-bit stamps; before the
- * access clock wraps, every set's ages are re-ranked in place (see
- * CacheArray::rebase), which keeps each set's recency order, and so
- * every hit, miss and victim, exact.
+ * Each set keeps its valid tags in a flat contiguous vector in
+ * recency order, most recent first (no per-set node containers or
+ * timestamps): a hit moves its tag to the front, a miss shifts the
+ * set down one way, dropping the least recent tag when the set is
+ * full, and puts the new tag first. The modeled sets are 8 or 16
+ * ways wide, so the shift is a few word moves, and the common hit on
+ * the most recent tag moves nothing. A per-set count of valid ways
+ * means no tag value is reserved to mark an invalid way. Hits,
+ * misses and victims are those of an explicit recency list because
+ * each set is one.
  */
 
 #ifndef LHR_CACHESIM_CACHE_SIM_HH
 #define LHR_CACHESIM_CACHE_SIM_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -54,32 +57,25 @@ class CacheArray
         const size_t set = static_cast<size_t>(line & setMask);
         const uint64_t tag = line >> setShift;
 
-        if (stamp == maxStamp) [[unlikely]]
-            rebase();
         uint64_t *setTags = &tags[set * wayCount];
-        uint32_t *setAges = &ages[set * wayCount];
-        // Hit scan only; the victim scan below runs just on misses.
-        for (size_t way = 0; way < wayCount; ++way) {
-            if (setTags[way] == tag && setAges[way] != 0) {
-                // Hit: bump to most recent.
-                setAges[way] = ++stamp;
-                return true;
-            }
+        const size_t valid = validWays[set];
+        size_t way = 0;
+        while (way < valid && setTags[way] != tag)
+            ++way;
+        const bool hit = way < valid;
+        if (!hit) {
+            // Miss: fill the first invalid way, or, when the set is
+            // full, overwrite the least recent (last) tag.
+            ++missCount;
+            if (valid < wayCount)
+                ++validWays[set];
+            way = std::min(valid, wayCount - 1);
         }
-        // Miss: fill an invalid way if any (age 0 sorts first), else
-        // evict the least recently used one (first minimum).
-        ++missCount;
-        size_t victim = 0;
-        uint32_t oldest = setAges[0];
-        for (size_t way = 1; way < wayCount; ++way) {
-            if (setAges[way] < oldest) {
-                oldest = setAges[way];
-                victim = way;
-            }
-        }
-        setTags[victim] = tag;
-        setAges[victim] = ++stamp;
-        return false;
+        // Move the ways ahead of `way` down one and put `tag` first.
+        for (; way > 0; --way)
+            setTags[way] = setTags[way - 1];
+        setTags[0] = tag;
+        return hit;
     }
 
     uint64_t accesses() const { return accessCount; }
@@ -92,27 +88,7 @@ class CacheArray
     /** Invalidate everything and clear statistics. */
     void reset();
 
-    /**
-     * Test seam: move the access clock forward to `value`, e.g. to
-     * just below the wrap point so a short stream crosses a rebase.
-     * Recency order is unchanged because every stored age stays at
-     * or below the clock. Panics if `value` is behind the clock.
-     */
-    void advanceStampForTest(uint32_t value);
-
   private:
-    /** The last stamp handed out before rebase() restarts the clock. */
-    static constexpr uint32_t maxStamp = UINT32_MAX;
-
-    /**
-     * Replace each set's valid ages by their rank within the set
-     * (1 = least recent; invalid ways keep 0) and restart the clock
-     * at the largest rank. Only the order of ages inside a set
-     * decides hits and victims, so the array behaves exactly as if
-     * the clock had never wrapped.
-     */
-    void rebase();
-
     size_t wayCount;
     size_t setCount;
     unsigned lineShift;          ///< log2(line bytes)
@@ -120,11 +96,12 @@ class CacheArray
     uint64_t setMask;            ///< setCount - 1
     uint64_t accessCount;
     uint64_t missCount;
-    uint32_t stamp;              ///< access clock, rebased at maxStamp
-    /** setCount x wayCount tags, row-major by set. */
+    /**
+     * setCount x wayCount tags, row-major by set; each set's first
+     * validWays[set] tags are valid, most recently used first.
+     */
     std::vector<uint64_t> tags;
-    /** Last-touch stamp per way; 0 marks an invalid way. */
-    std::vector<uint32_t> ages;
+    std::vector<uint32_t> validWays; ///< valid tags per set
 };
 
 /** A fully-associative LRU TLB. */

@@ -166,6 +166,11 @@ runAblationPipesim(Lab &, ReportContext &ctx)
 
     // Each benchmark's trace drives all four processors as lanes of
     // one run; with more than one job the lanes run concurrently.
+    // The lanes get a pool of their own, never the one running the
+    // studies: lane tasks and their producer block on each other
+    // through the trace's block ring, so in a shared FIFO pool whose
+    // workers the producer and the other studies hold, a lane task
+    // left queued would deadlock the run.
     std::optional<ThreadPool> pool;
     if (ctx.jobs() > 1)
         pool.emplace(std::min(ctx.jobs(), static_cast<int>(procIds.size())));

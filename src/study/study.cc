@@ -3,7 +3,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <mutex>
 #include <set>
+#include <sstream>
 #include <utility>
 
 #include "core/lab.hh"
@@ -159,13 +161,8 @@ Status
 runStudies(Lab &lab, const std::vector<const Study *> &studies,
            const StudyOptions &options)
 {
-    if (options.prewarm) {
-        const auto grid = unionGrid(studies);
-        if (!grid.empty())
-            lab.prewarm(grid, {.threads = options.threads});
-    }
-
-    if (!options.outDir.empty()) {
+    const bool toFiles = !options.outDir.empty();
+    if (toFiles) {
         std::error_code ec;
         std::filesystem::create_directories(options.outDir, ec);
         if (ec)
@@ -174,35 +171,91 @@ runStudies(Lab &lab, const std::vector<const Study *> &studies,
                                      ": " + ec.message());
     }
 
-    size_t index = 0;
-    for (const Study *study : studies) {
-        ++index;
+    // Several reports sharing stdout are buffered and bannered; one
+    // study on stdout streams, byte-identical to its historical
+    // binary, and a study with a file writes straight into it.
+    const bool buffered = !toFiles && studies.size() > 1;
+    struct Outcome
+    {
+        std::string path;   ///< the artifact file, when toFiles
+        std::string text;   ///< the whole report, when buffered
+        Status status;
+        bool done = false;
+    };
+    std::mutex emitMutex; ///< guards outcomes and emitted
+    std::vector<Outcome> outcomes(studies.size());
+    size_t emitted = 0; ///< the registry-order prefix already emitted
+
+    auto runOne = [&](size_t i) {
+        const Study &study = *studies[i];
+        Outcome result;
         std::ofstream file;
+        std::ostringstream buffer;
         std::ostream *os = &std::cout;
-        std::string path;
-        if (!options.outDir.empty()) {
-            path = options.outDir + "/" + study->name() + "." +
-                   outputFormatExtension(options.format);
-            file.open(path, std::ios::binary);
-            if (!file)
-                return Status::error(StatusCode::IoError,
-                                     "cannot write " + path);
+        if (toFiles) {
+            result.path = options.outDir + "/" + study.name() + "." +
+                outputFormatExtension(options.format);
+            file.open(result.path, std::ios::binary);
             os = &file;
-        } else if (studies.size() > 1) {
-            // Several text reports share stdout; banner them. A
-            // single study stays byte-identical to its historical
-            // binary.
-            std::cout << "=== " << study->name() << " ===\n";
+            if (!file)
+                result.status = Status::error(
+                    StatusCode::IoError, "cannot write " + result.path);
+        } else if (buffered) {
+            os = &buffer;
         }
-
-        const auto sink =
-            makeSink(*os, options.format, *study, lab.seed());
-        runStudy(lab, *study, *sink, options.format, options.threads);
-
-        if (!path.empty()) {
-            std::cerr << "[" << index << "/" << studies.size() << "] "
-                      << study->name() << " -> " << path << "\n";
+        if (result.status.ok()) {
+            const auto sink =
+                makeSink(*os, options.format, study, lab.seed());
+            runStudy(lab, study, *sink, options.format, options.threads);
         }
+        file.close();
+        result.text = std::move(buffer).str();
+        result.done = true;
+
+        // Emit every finished study at the head of the registry order
+        // (stdout banners and reports, stderr progress lines), so the
+        // streams read as if the studies had run one after another. A
+        // study that failed holds back everything after it.
+        const std::lock_guard<std::mutex> lock(emitMutex);
+        outcomes[i] = std::move(result);
+        for (; emitted < outcomes.size() && outcomes[emitted].done &&
+             outcomes[emitted].status.ok();
+             ++emitted) {
+            Outcome &head = outcomes[emitted];
+            const std::string &name = studies[emitted]->name();
+            if (buffered)
+                std::cout << "=== " << name << " ===\n" << head.text;
+            if (toFiles)
+                std::cerr << "[" << emitted + 1 << "/"
+                          << outcomes.size() << "] " << name << " -> "
+                          << head.path << "\n";
+            head.text = std::string();
+        }
+    };
+
+    // Phase 1 runs the studies that read no prewarmed grid
+    // (ablation_pipesim among them, the long pole) concurrently
+    // before the memo cache is warm; phase 2 prewarms the union grid
+    // and then runs the grid studies on the same workers.
+    ThreadPool pool(options.threads);
+    auto runPhase = [&](bool gridless) {
+        for (size_t i = 0; i < studies.size(); ++i) {
+            if (studies[i]->grid().empty() == gridless)
+                pool.submit([&runOne, i] { runOne(i); });
+        }
+        pool.wait();
+    };
+    runPhase(true);
+    if (options.prewarm) {
+        const auto grid = unionGrid(studies);
+        if (!grid.empty())
+            lab.prewarm(grid, {.threads = options.threads});
+    }
+    runPhase(false);
+
+    for (const Outcome &outcome : outcomes) {
+        if (!outcome.status.ok())
+            return outcome.status;
     }
     return Status();
 }

@@ -162,8 +162,9 @@ struct StudyOptions
     std::string outDir;
 
     /**
-     * Worker threads of the prewarm pass and of studies that
-     * parallelize their own compute; 0 = the hardware concurrency.
+     * Worker threads that run the studies, of the prewarm pass, and
+     * of studies that parallelize their own compute; 0 = the
+     * hardware concurrency.
      */
     int threads = 0;
 
@@ -186,11 +187,17 @@ void runStudy(Lab &lab, const Study &study, Sink &sink,
               OutputFormat format = OutputFormat::Text, int threads = 0);
 
 /**
- * Run studies in order: one union-grid prewarm, then each study
- * serially into stdout or `<outDir>/<name>.<ext>`. An IoError when
- * the directory or a file cannot be written. Several csv/json
- * studies need an `outDir`: on stdout their documents would run
- * together.
+ * Run studies on one pool of `threads` workers, in two phases: the
+ * studies with an empty grid() run concurrently first, then one
+ * union-grid prewarm, then the grid studies concurrently. Each study
+ * writes straight into `<outDir>/<name>.<ext>`, or into stdout: one
+ * study streams there, several are buffered and bannered. Banners,
+ * reports and the `[i/N]` stderr progress lines come out in the
+ * order of `studies`, the same bytes as a serial run. An IoError
+ * when the directory or a file cannot be written, naming the first
+ * such file in `studies` order; no output follows that study's.
+ * Several csv/json studies need an `outDir`: on stdout their
+ * documents would run together.
  */
 [[nodiscard]] Status runStudies(Lab &lab,
                                 const std::vector<const Study *> &studies,

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <vector>
+
 #include "cachesim/cache_sim.hh"
 #include "util/rng.hh"
 
@@ -105,43 +109,60 @@ TEST(CacheArray, ResetClearsEverything)
     EXPECT_FALSE(cache.access(0x1000)); // cold again
 }
 
-TEST(CacheArray, AgeRebaseKeepsEveryHitAndMiss)
+TEST(CacheArray, MatchesListLruReferenceOnRandomStreams)
 {
-    // 4KB, 4-way, 64B lines: 16 sets. A footprint of 4x the
-    // capacity with some reuse keeps every set evicting. The
-    // rebased array's clock is pushed to just below the 32-bit
-    // wrap every 3000 accesses, so the stream crosses the rebase
-    // several times; the reference array's clock never gets near it.
-    CacheArray rebased(4.0, 4);
-    CacheArray reference(4.0, 4);
-    Rng rng(20261017);
-    const uint64_t lines = 4 * 64;
-    int crossings = 0;
-    for (int i = 0; i < 20000; ++i) {
-        if (i % 3000 == 0) {
-            rebased.advanceStampForTest(UINT32_MAX - 500);
-            ++crossings;
-        }
-        // Half the accesses hit a small hot set, half roam.
-        const uint64_t line = rng.uniform() < 0.5
-            ? static_cast<uint64_t>(rng.uniform() * 24)
-            : static_cast<uint64_t>(rng.uniform() * lines);
-        const uint64_t addr = line * 64 + (i % 64);
-        ASSERT_EQ(rebased.access(addr), reference.access(addr))
-            << "access " << i;
-    }
-    EXPECT_EQ(crossings, 7);
-    EXPECT_EQ(rebased.misses(), reference.misses());
-    EXPECT_GT(reference.misses(), 5000u);
-    EXPECT_LT(reference.misses(), 19000u);
-}
+    // A list-based true-LRU model, one recency list per set, most
+    // recent first: the definition the flat recency-ordered sets
+    // must reproduce hit for hit.
+    struct ListLru
+    {
+        size_t sets;
+        size_t ways;
+        std::vector<std::list<uint64_t>> lists;
 
-TEST(CacheArray, StampSeamNeverRunsTheClockBack)
-{
-    CacheArray cache(4.0, 4);
-    cache.advanceStampForTest(100);
-    cache.advanceStampForTest(100);
-    EXPECT_DEATH(cache.advanceStampForTest(99), "clock would go back");
+        bool
+        access(uint64_t line)
+        {
+            auto &set = lists[line % sets];
+            const auto it = std::find(set.begin(), set.end(), line);
+            const bool hit = it != set.end();
+            if (hit)
+                set.erase(it);
+            else if (set.size() == ways)
+                set.pop_back();
+            set.push_front(line);
+            return hit;
+        }
+    };
+
+    Rng rng(20261019);
+    for (const int ways : {1, 2, 4, 8, 16}) {
+        // 8KB: 128 lines in 128 / ways sets.
+        CacheArray cache(8.0, ways);
+        ASSERT_EQ(cache.sets() * cache.associativity(), 128u);
+        ListLru reference{cache.sets(), cache.associativity(), {}};
+        reference.lists.resize(reference.sets);
+        for (int i = 0; i < 30000; ++i) {
+            if (i == 15000) {
+                // Invalidate everything mid-stream: both restart cold.
+                cache.reset();
+                for (auto &set : reference.lists)
+                    set.clear();
+            }
+            // Half the accesses reuse a hot set of 48 lines, half
+            // roam a footprint of 4x the capacity.
+            const uint64_t line = rng.uniform() < 0.5
+                ? static_cast<uint64_t>(rng.uniform() * 48)
+                : static_cast<uint64_t>(rng.uniform() * 512);
+            ASSERT_EQ(cache.access(line * 64 + (i % 64)),
+                      reference.access(line))
+                << ways << "-way, access " << i;
+        }
+        // Since the reset: 15000 accesses, with hits and misses both.
+        EXPECT_EQ(cache.accesses(), 15000u);
+        EXPECT_GT(cache.misses(), 3000u) << ways << "-way";
+        EXPECT_LT(cache.misses(), 12000u) << ways << "-way";
+    }
 }
 
 TEST(Tlb, HitAndMissAccounting)

@@ -78,6 +78,19 @@ writeFile(const std::string &name, const std::string &text)
     return path;
 }
 
+/** The golden text report of one study (tests/golden/<name>.txt). */
+std::string
+goldenText(const std::string &name)
+{
+    const std::string path =
+        std::string(LHR_GOLDEN_DIR) + "/" + name + ".txt";
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "missing golden file " << path;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
 const char *const storeHeader =
     "config_key,benchmark,time_s,time_ci95,power_w,power_ci95\n";
 
@@ -194,6 +207,24 @@ TEST(Cli, MultiStudyJsonWithoutOutDirExitsNonzero)
     const CliResult r = runCli("run --all --format=json");
     EXPECT_EQ(r.exitCode, 2);
     EXPECT_TRUE(mentions(r, "--out"));
+}
+
+TEST(Cli, MultiStudyTextIsTheSameAtAnyJobCount)
+{
+    // Several studies on stdout run concurrently, but each report
+    // comes out under its banner in the order named: the bytes of a
+    // serial run, which for these three are their goldens. Nothing
+    // reaches stderr.
+    std::string expected;
+    for (const char *name : {"fig04", "table3", "fig05"})
+        expected += std::string("=== ") + name + " ===\n" +
+            goldenText(name);
+    for (const char *jobs : {"1", "4"}) {
+        const CliResult r =
+            runCli(std::string("run fig04 table3 fig05 --jobs ") + jobs);
+        EXPECT_EQ(r.exitCode, 0) << "--jobs " << jobs;
+        EXPECT_EQ(r.output, expected) << "--jobs " << jobs;
+    }
 }
 
 TEST(Cli, EveryCommandRejectsUnknownFlagsAndSurplusArguments)
@@ -491,6 +522,11 @@ TEST(Cli, ExamplesRejectMistypedArgumentsWithFatal)
         {"onchip_meters", "nosuch"},
         {"thermal_throttle", "banana"},
         {"sensor_calibration", "xyz"},
+        {"power_trace", "gcc --cvs"},
+        {"quickstart", "mcf junk"},
+        {"design_space_pareto", "avg extra"},
+        {"custom_workload", "extra"},
+        {"colocation_scheduler", "--bogus"},
     };
     for (const auto &c : cases) {
         const CliResult r = runExample(c.name, c.args);

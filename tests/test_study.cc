@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -29,15 +30,19 @@ namespace
 {
 
 std::string
-goldenFile(const std::string &name)
+readFile(const std::string &path)
 {
-    const std::string path =
-        std::string(LHR_GOLDEN_DIR) + "/" + name + ".txt";
     std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << "missing golden file " << path;
+    EXPECT_TRUE(in.good()) << "cannot read " << path;
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+std::string
+goldenFile(const std::string &name)
+{
+    return readFile(std::string(LHR_GOLDEN_DIR) + "/" + name + ".txt");
 }
 
 /** The data rows of a one-table study's CSV rendering, as cells. */
@@ -77,6 +82,19 @@ renderText(Lab &lab, const std::string &name)
     TextSink sink(out);
     runStudy(lab, *study, sink, OutputFormat::Text);
     return out.str();
+}
+
+/** The registered studies named in `names`, in registry order. */
+std::vector<const Study *>
+inRegistryOrder(const std::set<std::string> &names)
+{
+    std::vector<const Study *> studies;
+    for (const Study *study : StudyRegistry::instance().all()) {
+        if (names.count(study->name()))
+            studies.push_back(study);
+    }
+    EXPECT_EQ(studies.size(), names.size());
+    return studies;
 }
 
 } // namespace
@@ -201,6 +219,71 @@ TEST(StudyGolden, Table3MatchesGoldenBytes)
 {
     Lab lab;
     EXPECT_EQ(renderText(lab, "table3"), goldenFile("table3"));
+}
+
+TEST(StudySchedule, SameFilesAndProgressOrderAtOneAndFourThreads)
+{
+    // Memo-free studies (run before the prewarm) and grid studies
+    // (run after it), interleaved in registry order. No
+    // ablation_pipesim, so a race-checking build runs this quickly.
+    const auto studies = inRegistryOrder(
+        {"fig04", "fig05", "table1", "table2", "table3",
+         "ablation_os_scaling", "ablation_faults"});
+    const std::string root = testing::TempDir() + "lhr_schedule";
+    std::filesystem::remove_all(root);
+    for (const int threads : {1, 4}) {
+        StudyOptions options;
+        options.outDir = root + "/j" + std::to_string(threads);
+        options.threads = threads;
+        Lab lab;
+        testing::internal::CaptureStderr();
+        const Status ran = runStudies(lab, studies, options);
+        const std::string progress = testing::internal::GetCapturedStderr();
+        ASSERT_TRUE(ran.ok()) << ran.message();
+
+        // One progress line per study, in registry order, whatever
+        // order the studies finished in.
+        std::ostringstream expected;
+        for (size_t i = 0; i < studies.size(); ++i)
+            expected << "[" << i + 1 << "/" << studies.size() << "] "
+                     << studies[i]->name() << " -> " << options.outDir
+                     << "/" << studies[i]->name() << ".txt\n";
+        EXPECT_EQ(progress, expected.str()) << threads << " threads";
+    }
+    for (const Study *study : studies) {
+        const std::string file = "/" + study->name() + ".txt";
+        const std::string serial = readFile(root + "/j1" + file);
+        EXPECT_FALSE(serial.empty()) << file;
+        EXPECT_EQ(readFile(root + "/j4" + file), serial) << file;
+    }
+    EXPECT_EQ(readFile(root + "/j4/fig05.txt"), goldenFile("fig05"));
+    std::filesystem::remove_all(root);
+}
+
+TEST(StudySchedule, UnwritableFileNamesTheFirstInRegistryOrder)
+{
+    // A directory stands where fig05's and table3's reports go, so
+    // neither file opens. table3 reads no grid and fails first in
+    // time; fig05 comes first in registry order and is the one
+    // reported, and no progress line follows fig04's.
+    const auto studies =
+        inRegistryOrder({"fig04", "fig05", "table1", "table3"});
+    const std::string dir = testing::TempDir() + "lhr_unwritable";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir + "/fig05.txt");
+    std::filesystem::create_directories(dir + "/table3.txt");
+
+    StudyOptions options;
+    options.outDir = dir;
+    options.threads = 4;
+    Lab lab;
+    testing::internal::CaptureStderr();
+    const Status ran = runStudies(lab, studies, options);
+    const std::string progress = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ran.code(), StatusCode::IoError);
+    EXPECT_EQ(ran.message(), "cannot write " + dir + "/fig05.txt");
+    EXPECT_EQ(progress, "[1/4] fig04 -> " + dir + "/fig04.txt\n");
+    std::filesystem::remove_all(dir);
 }
 
 TEST(StudySeed, LabSeedIsConfigurable)
