@@ -19,6 +19,9 @@
 int
 main(int argc, char **argv)
 {
+    if (argc > 3)
+        lhr::fatal(std::string("unexpected argument '") + argv[3] +
+                   "' (usage: clock_energy_sweep [processor-id] [steps])");
     const std::string id = argc > 1 ? argv[1] : "i7 (45)";
     if (!lhr::findProcessor(id))
         lhr::fatal("unknown processor '" + id + "'");

@@ -19,6 +19,9 @@
 int
 main(int argc, char **argv)
 {
+    if (argc > 3)
+        lhr::fatal(std::string("unexpected argument '") + argv[3] +
+                   "' (usage: onchip_meters [benchmark] [processor-id])");
     const std::string benchName = argc > 1 ? argv[1] : "pjbb2005";
     const std::string procId = argc > 2 ? argv[2] : "i7 (45)";
 

@@ -21,6 +21,9 @@
 int
 main(int argc, char **argv)
 {
+    if (argc > 2)
+        lhr::fatal(std::string("unexpected argument '") + argv[2] +
+                   "' (usage: sensor_calibration [device-seed])");
     const std::optional<uint64_t> parsed =
         argc > 1 ? lhr::parseSeed(argv[1]) : std::optional<uint64_t>(42);
     if (!parsed)

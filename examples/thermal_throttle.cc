@@ -20,6 +20,9 @@
 int
 main(int argc, char **argv)
 {
+    if (argc > 3)
+        lhr::fatal(std::string("unexpected argument '") + argv[3] +
+                   "' (usage: thermal_throttle [power_watts] [seconds])");
     const lhr::Expected<double> wattsArg =
         argc > 1 ? lhr::parseReal(argv[1]) : lhr::Expected<double>(138.0);
     if (!wattsArg.ok() || wattsArg.value() < 0.0 ||

@@ -393,13 +393,18 @@ ExperimentRunner::execution(const MachineConfig &cfg,
     PhaseModel phaseModel(bench, phaseRng.next());
     const auto points = phaseModel.generate(powerPhases);
 
+    // Every phase runs at the profile's one operating point: prepare
+    // its clock- and voltage-dependent terms once, and reuse one
+    // activity buffer across the phases.
+    const OperatingPoint op = power.prepare(cfg, prof.effectiveClockGhz);
+    std::vector<double> act(prof.coreActivity.size());
     run.phases.resize(points.size());
     for (size_t k = 0; k < points.size(); ++k) {
-        std::vector<double> act = prof.coreActivity;
-        for (double &a : act)
-            a = std::clamp(a * points[k].activityMult, 0.0, 1.0);
-        run.phases[k] = power.compute(
-            cfg, prof.effectiveClockGhz, act,
+        for (size_t c = 0; c < act.size(); ++c)
+            act[c] = std::clamp(
+                prof.coreActivity[c] * points[k].activityMult, 0.0, 1.0);
+        run.phases[k] = op.at(
+            act,
             std::clamp(prof.llcActivity * points[k].memoryMult, 0.0,
                        1.0),
             prof.dramGBs * points[k].memoryMult);

@@ -67,6 +67,37 @@ class ThermalModel
 };
 
 /**
+ * The activity-independent terms of ChipPowerModel::compute() at one
+ * (configuration, clock), prepared once so a waveform's phases pay
+ * only their per-phase arithmetic: compute() is prepare() + at(), so
+ * both give the same bits.
+ */
+struct OperatingPoint
+{
+    /**
+     * Chip power at this operating point under one phase's activity
+     * (same contract as ChipPowerModel::compute()).
+     */
+    PowerBreakdown at(const std::vector<double> &core_activity,
+                      double llc_activity, double dram_gbs) const;
+
+    const ProcessorSpec *spec = nullptr;
+    const ThermalModel *thermal = nullptr;
+    int enabledCores = 0;
+    double clockGhz = 0.0;
+    double v = 0.0;           ///< cfg.voltageAt(clockGhz)
+    double v2f = 0.0;         ///< v * v * clockGhz
+    double coreCap = 0.0;     ///< per-core switched capacitance
+    double llcCap = 0.0;      ///< LLC switched capacitance
+    double llcClock = 0.0;    ///< clock capped by the uncore domain
+    double idleFloor = 0.0;   ///< activity of an enabled-but-idle core
+    bool gatesIdle = false;   ///< idle cores power-gated (C6)
+    double leakPerMtran = 0.0;     ///< leakage per Mtransistor, scaled
+    double coreTransistorsM = 0.0; ///< one core's transistors
+    double leakVoltage = 0.0;      ///< leakageVoltageFactor(tech, v)
+};
+
+/**
  * The power model for one processor. compute() is pure; thermal
  * coupling between power and leakage is resolved by fixed-point
  * iteration internally.
@@ -75,6 +106,14 @@ class ChipPowerModel
 {
   public:
     explicit ChipPowerModel(const ProcessorSpec &spec);
+
+    /**
+     * The per-(cfg, clock) terms of compute(), for evaluating many
+     * activity vectors at one operating point (the model must
+     * outlive the result).
+     */
+    OperatingPoint prepare(const MachineConfig &cfg,
+                           double clock_ghz) const;
 
     /**
      * Chip power for one operating point.

@@ -21,8 +21,11 @@
 #ifndef LHR_SENSOR_RAPL_HH
 #define LHR_SENSOR_RAPL_HH
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
+#include "sensor/channel.hh"
 #include "sensor/sensor.hh"
 
 namespace lhr
@@ -69,12 +72,53 @@ class RaplSensor : public PowerSensor
     std::unique_ptr<SensorSession>
     beginSession(Rng &rng) const override;
 
+    /**
+     * The batched bit-exact session (sensor/sampling.hh): equal to
+     * beginSession() + read() per sample, without a virtual call or a
+     * libm gaussian per sample.
+     */
+    double sessionWatts(const double *phase_power_w, int phases,
+                        double scale, int samples,
+                        Rng &inv_rng) const override;
+
     /** Systematic energy-model gain error of this device. */
     double deviceGain() const { return gain; }
+
+    /**
+     * Whole energy units one firmware update adds at a slot's power:
+     * read()'s arithmetic, also the batched session's exact fallback.
+     * Calibration drift maps to the energy model's gain ramping.
+     */
+    long unitsPerUpdate(double watts, double counts_gain) const
+    {
+        const double updateJ = watts * gain * counts_gain / updateHz;
+        return std::lround(updateJ / energyUnitJ);
+    }
+
+    /** The counter advance of one 50Hz slot at a per-update step. */
+    static uint32_t slotAdvance(long units)
+    {
+        return static_cast<uint32_t>(units) *
+            static_cast<uint32_t>(updatesPerSlot);
+    }
+
+    /** The recorded code of an honest slot delta, and its decode. */
+    static int slotCode(uint32_t delta)
+    {
+        return static_cast<int>(std::min<uint32_t>(
+            delta, static_cast<uint32_t>(wrapGlitchCode)));
+    }
+    static double slotWatts(int code)
+    {
+        return code * energyUnitJ * PowerChannel::sampleHz;
+    }
 
     static constexpr double energyUnitJ = 1.0 / 65536.0;  // 2^-16 J
     static constexpr double updateHz = 1000.0;
     static constexpr int wrapGlitchCode = 1 << 21;
+    /** Firmware updates between two 50Hz reader visits. */
+    static constexpr int updatesPerSlot =
+        static_cast<int>(updateHz / PowerChannel::sampleHz);
 
   private:
     double gain;  ///< about ±2%, fixed per device

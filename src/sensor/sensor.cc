@@ -32,23 +32,6 @@ parseSensorBackend(std::string_view text)
     return std::nullopt;
 }
 
-double
-PowerSensor::sessionWatts(const double *phase_power_w, int phases,
-                          double scale, int samples,
-                          Rng &inv_rng) const
-{
-    const auto session = beginSession(inv_rng);
-    const SampleFault noFault;
-    double sum = 0.0;
-    for (int s = 0; s < samples; ++s) {
-        const int k = sessionPhase(s, phases, samples);
-        const double trueW = phase_power_w[k] * scale *
-            (1.0 + PowerChannel::supplyRipple * inv_rng.gaussian());
-        sum += session->read(trueW, inv_rng, noFault).watts;
-    }
-    return sum;
-}
-
 std::unique_ptr<PowerSensor>
 makeSensor(SensorBackend backend, const ProcessorSpec &spec,
            uint64_t base_seed)

@@ -13,6 +13,10 @@
  * The Hall backend (sensor/hall.hh) wraps the original
  * PowerChannel + Calibration pipeline and is bit-identical to it;
  * the RAPL backend (sensor/rapl.hh) models energy-counter semantics.
+ * A session is read() slot by slot where faults act on the record
+ * (the fault-aware pipeline); the clean hot path is sessionWatts(),
+ * which both backends implement with one batched sampler over the
+ * same gaussian staging (sensor/sampling.hh).
  */
 
 #ifndef LHR_SENSOR_SENSOR_HH
@@ -106,13 +110,16 @@ class PowerSensor
      *   trueW = phase_power_w[k] * scale *
      *           (1 + PowerChannel::supplyRipple * gaussian)
      *
-     * The base implementation loops beginSession() + read(); the
-     * Hall backend overrides it with the vectorized bit-exact
-     * sampler (sensor/sampling.hh semantics).
+     * Defined as beginSession() once, then read() per sample with no
+     * fault, summing the decoded watts in sample order. Each backend
+     * implements it with the batched bit-exact sampler
+     * (sensor/sampling.hh), which returns that sum to the bit and
+     * leaves inv_rng's raw stream where that loop leaves it;
+     * tests/test_sensor_backend.cc keeps the loop as the reference.
      */
     virtual double sessionWatts(const double *phase_power_w,
                                 int phases, double scale, int samples,
-                                Rng &inv_rng) const;
+                                Rng &inv_rng) const = 0;
 
     /**
      * The counts-to-watts calibration when the backend has one

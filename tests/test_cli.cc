@@ -527,6 +527,10 @@ TEST(Cli, ExamplesRejectMistypedArgumentsWithFatal)
         {"design_space_pareto", "avg extra"},
         {"custom_workload", "extra"},
         {"colocation_scheduler", "--bogus"},
+        {"clock_energy_sweep", "'i7 (45)' 6 extra"},
+        {"onchip_meters", "mcf 'i7 (45)' extra"},
+        {"thermal_throttle", "100 10 extra"},
+        {"sensor_calibration", "42 extra"},
     };
     for (const auto &c : cases) {
         const CliResult r = runExample(c.name, c.args);

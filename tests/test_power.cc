@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
+#include <cstdint>
+#include <vector>
 
 #include "harness/runner.hh"
 #include "power/chip_power.hh"
+#include "util/rng.hh"
 
 namespace lhr
 {
@@ -193,6 +197,62 @@ TEST_P(PowerSweep, MinimumFloorIsPositive)
         std::vector<double>(cfg.enabledCores, 0.0), 0.0, 0.0).total();
     EXPECT_GT(idle, 0.3) << spec.id;
     EXPECT_LT(idle, spec.tdpW) << spec.id;
+}
+
+TEST(Power, PreparedOperatingPointMatchesComputeBitForBit)
+{
+    // A waveform evaluates one prepared operating point under many
+    // activity vectors; every phase must carry compute()'s bits, for
+    // every processor (server parts included), at the lowest, stock
+    // and a Turbo clock, with idle (power-gated on Nehalem and later)
+    // and saturated cores.
+    std::vector<const ProcessorSpec *> specs;
+    for (const auto &spec : allProcessors())
+        specs.push_back(&spec);
+    for (const auto &spec : postPaperProcessors())
+        specs.push_back(&spec);
+    ASSERT_GT(specs.size(), allProcessors().size());
+
+    const auto sameBreakdown = [](const PowerBreakdown &a,
+                                  const PowerBreakdown &b) {
+        return std::bit_cast<uint64_t>(a.coreDynW) ==
+                std::bit_cast<uint64_t>(b.coreDynW) &&
+            std::bit_cast<uint64_t>(a.leakW) ==
+                std::bit_cast<uint64_t>(b.leakW) &&
+            std::bit_cast<uint64_t>(a.llcW) ==
+                std::bit_cast<uint64_t>(b.llcW) &&
+            std::bit_cast<uint64_t>(a.uncoreW) ==
+                std::bit_cast<uint64_t>(b.uncoreW) &&
+            std::bit_cast<uint64_t>(a.junctionC) ==
+                std::bit_cast<uint64_t>(b.junctionC);
+    };
+    Rng pick(0x0915);
+    for (const ProcessorSpec *spec : specs) {
+        const ChipPowerModel model(*spec);
+        const MachineConfig cfg = stockConfig(*spec);
+        std::vector<double> clocks = {spec->fMinGhz, spec->stockClockGhz};
+        if (spec->hasTurbo)
+            clocks.push_back(spec->stockClockGhz + 2 * spec->turboStepGhz);
+        for (const double clock : clocks) {
+            const OperatingPoint op = model.prepare(cfg, clock);
+            for (int phase = 0; phase < 64; ++phase) {
+                std::vector<double> act(cfg.enabledCores);
+                for (double &a : act) {
+                    const uint64_t kind = pick.below(4);
+                    a = kind == 0 ? 0.0
+                        : kind == 1 ? 1.0
+                                    : pick.uniform();
+                }
+                const double llc = phase == 0 ? 0.0 : pick.uniform();
+                const double dram = 20.0 * pick.uniform() - 2.0;
+                EXPECT_TRUE(sameBreakdown(
+                    op.at(act, llc, dram),
+                    model.compute(cfg, clock, act, llc, dram)))
+                    << spec->id << " at " << clock << " GHz, phase "
+                    << phase;
+            }
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

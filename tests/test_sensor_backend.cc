@@ -2,9 +2,11 @@
  * @file
  * Tests for the PowerSensor abstraction: backend naming, the Hall
  * backend's bit-equivalence to the pre-abstraction channel chain,
- * RAPL counter semantics (quantization, wrap absorption, stale and
- * wrap-glitch faults), per-era backend selection, and the runner's
- * backend plumbing end to end.
+ * both backends' batched sessions against the scalar session loop
+ * (kept here as the reference), RAPL counter semantics
+ * (quantization, wrap absorption, stale and wrap-glitch faults),
+ * per-era backend selection, and the runner's backend plumbing end
+ * to end.
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +36,55 @@ namespace
 
 /** A flat-ish two-phase waveform around 40W. */
 const std::vector<double> kPhases = {38.0, 44.0, 41.0, 39.5};
+
+/**
+ * The scalar definition of PowerSensor::sessionWatts(): one session,
+ * then one fault-free read() per sample with the supply ripple drawn
+ * first, decoded watts summed in sample order. The batched samplers
+ * of both backends must reproduce it to the bit.
+ */
+double
+scalarSessionWatts(const PowerSensor &sensor, const double *phase_power_w,
+                   int phases, double scale, int samples, Rng &inv_rng)
+{
+    const auto session = sensor.beginSession(inv_rng);
+    const SampleFault noFault;
+    double sum = 0.0;
+    for (int s = 0; s < samples; ++s) {
+        const int k = sessionPhase(s, phases, samples);
+        const double trueW = phase_power_w[k] * scale *
+            (1.0 + PowerChannel::supplyRipple * inv_rng.gaussian());
+        sum += session->read(trueW, inv_rng, noFault).watts;
+    }
+    return sum;
+}
+
+/**
+ * Run one session both ways from equal streams (with a pending
+ * Box-Muller half left cached when asked) and check the sum's bits
+ * and the raw stream position agree.
+ */
+void
+expectBatchedMatchesScalar(const PowerSensor &sensor,
+                           const std::vector<double> &phases,
+                           double scale, int samples, bool pending,
+                           uint64_t seed, const std::string &where)
+{
+    Rng batched(seed), scalar(seed);
+    if (pending) {
+        (void)batched.gaussian();
+        (void)scalar.gaussian();
+    }
+    ASSERT_EQ(batched.hasPendingGaussian(), pending) << where;
+    const int n = static_cast<int>(phases.size());
+    const double a =
+        sensor.sessionWatts(phases.data(), n, scale, samples, batched);
+    const double b = scalarSessionWatts(sensor, phases.data(), n, scale,
+                                        samples, scalar);
+    EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b))
+        << where << ": " << a << " vs " << b;
+    EXPECT_EQ(batched.next(), scalar.next()) << where;
+}
 
 } // namespace
 
@@ -80,43 +131,71 @@ TEST(SensorBackend, HallSessionIsBitIdenticalToTheChannelChain)
 
 TEST(SensorBackend, BatchedSessionMatchesScalarChain)
 {
-    // The vectorized Hall sampler against the base-class loop of
+    // Both backends' batched samplers against the scalar loop of
     // beginSession() + read(): the same sum to the bit, and the
     // invocation stream left at the same position. The 0 W phases
-    // send their samples through the batch sampler's exact fallback
-    // (the zero-watt guard), which the ~40 W waveform reaches only
-    // about once per million samples.
+    // send their samples through the exact fallback (the Hall
+    // sampler's zero-watt guard, RAPL's x <= 1 lanes), which the
+    // ~40 W waveform reaches only about once per million samples.
+    // Above 1600 W a RAPL slot's delta exceeds wrapGlitchCode and
+    // the recorded code pegs there.
     const std::vector<double> zeroPhases = {0.0, 40.0, 0.0, 12.0};
-    for (const std::vector<double> *phases : {&kPhases, &zeroPhases}) {
-        for (const SensorVariant variant :
-             {SensorVariant::A5, SensorVariant::A30}) {
-            const HallEffectSensor sensor(variant, 0x714, 0xCAFE);
+    const std::vector<double> peggedPhases = {1700.0, 2500.0, 40.0};
+    std::vector<std::unique_ptr<PowerSensor>> sensors;
+    std::vector<std::string> names;
+    for (const SensorVariant variant :
+         {SensorVariant::A5, SensorVariant::A30}) {
+        sensors.push_back(
+            std::make_unique<HallEffectSensor>(variant, 0x714, 0xCAFE));
+        names.push_back(variant == SensorVariant::A5 ? "A5" : "A30");
+    }
+    sensors.push_back(std::make_unique<RaplSensor>(0x5EED));
+    names.push_back("RAPL");
+
+    for (size_t i = 0; i < sensors.size(); ++i) {
+        const bool rapl = sensors[i]->backend() == SensorBackend::Rapl;
+        for (const std::vector<double> *phases :
+             {&kPhases, &zeroPhases, &peggedPhases}) {
+            // The Hall channel panics far below 1600 W.
+            if (phases == &peggedPhases && !rapl)
+                continue;
             for (const int samples : {8, 37, 1000, 1501}) {
                 for (const bool pending : {false, true}) {
-                    Rng batched(0xD00D), scalar(0xD00D);
-                    if (pending) {
-                        // Leave the second half of a Box-Muller pair
-                        // cached.
-                        (void)batched.gaussian();
-                        (void)scalar.gaussian();
-                    }
-                    ASSERT_EQ(batched.hasPendingGaussian(), pending);
-                    const int n = static_cast<int>(phases->size());
-                    const double a = sensor.sessionWatts(
-                        phases->data(), n, 1.02, samples, batched);
-                    const double b = sensor.PowerSensor::sessionWatts(
-                        phases->data(), n, 1.02, samples, scalar);
-                    const std::string where = msgOf(
-                        variant == SensorVariant::A5 ? "A5" : "A30",
-                        " phase[0] ", (*phases)[0], " samples ",
-                        samples, pending ? " pending" : "");
-                    EXPECT_EQ(std::bit_cast<uint64_t>(a),
-                              std::bit_cast<uint64_t>(b))
-                        << where << ": " << a << " vs " << b;
-                    EXPECT_EQ(batched.next(), scalar.next()) << where;
+                    expectBatchedMatchesScalar(
+                        *sensors[i], *phases, 1.02, samples, pending,
+                        0xD00D,
+                        msgOf(names[i], " phase[0] ", (*phases)[0],
+                              " samples ", samples,
+                              pending ? " pending" : ""));
                 }
             }
         }
+    }
+}
+
+TEST(SensorBackend, RaplBatchedSessionMatchesScalarOnRandomSessions)
+{
+    // A seeded sweep over devices, waveforms (exact 0 W phases,
+    // milliwatts that round to a unit or none, ordinary loads, and
+    // pegging >1600 W phases), scales, lengths and pending halves.
+    const double ceilings[] = {0.02, 1.0, 150.0, 3000.0};
+    Rng pick(0x5A3D);
+    for (int trial = 0; trial < 3000; ++trial) {
+        const RaplSensor sensor(pick.next());
+        const int nPhases = 1 + static_cast<int>(pick.below(64));
+        const double ceiling = ceilings[pick.below(4)];
+        std::vector<double> phases(static_cast<size_t>(nPhases));
+        for (double &w : phases)
+            w = pick.below(8) == 0 ? 0.0 : pick.uniform(0.0, ceiling);
+        const double scale = pick.uniform(0.9, 1.1);
+        const int samples = 1 + static_cast<int>(pick.below(200));
+        const bool pending = pick.below(2) == 0;
+        expectBatchedMatchesScalar(
+            sensor, phases, scale, samples, pending, pick.next(),
+            msgOf("trial ", trial, " ceiling ", ceiling, " samples ",
+                  samples, pending ? " pending" : ""));
+        if (HasFailure())
+            return;
     }
 }
 
