@@ -1,6 +1,8 @@
 /**
  * @file
- * lhrlab — command-line front end to the measurement laboratory.
+ * lhrlab — command-line front end to the measurement laboratory, and
+ * the lab's only one: every way to drive the lab from a shell is a
+ * command here (examples/quickstart.cc shows the library API instead).
  *
  * Every command is one entry of the `commands` table below: its name,
  * usage text, flags, positional-argument count and body; `lhrlab
@@ -31,6 +33,8 @@
 #include <limits>
 #include <map>
 #include <malloc.h>
+#include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -40,10 +44,17 @@
 #include "counters/hwcounters.hh"
 #include "harness/corun.hh"
 #include "harness/multiprog.hh"
+#include "machine/custom.hh"
+#include "power/thermal_transient.hh"
+#include "sensor/calibration.hh"
+#include "sensor/channel.hh"
+#include "sensor/hall.hh"
 #include "sensor/sensor.hh"
+#include "sensor/trace_log.hh"
 #include "serve/loadgen.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "stats/summary.hh"
 #include "store/results_store.hh"
 #include "study/study.hh"
 #include "util/env.hh"
@@ -198,12 +209,13 @@ parseArgs(const std::vector<std::string> &tokens, size_t &next,
     return args;
 }
 
+/** `text` as a seed, or a usage error naming `what`. */
 uint64_t
-seedArg(const std::string &text)
+seedArg(const std::string &what, const std::string &text)
 {
     const auto seed = lhr::parseSeed(text);
     if (!seed)
-        usageError("malformed --seed '" + text + "'");
+        usageError("malformed " + what + " '" + text + "'");
     return *seed;
 }
 
@@ -289,7 +301,7 @@ cmdRun(const Args &args)
         static_cast<int>(args.integer("--jobs", 0, 1024).value_or(0));
     options.prewarm = !args.has("--no-prewarm");
     const uint64_t seed =
-        args.has("--seed") ? seedArg(args.text("--seed")) : gSeed;
+        args.has("--seed") ? seedArg("--seed", args.text("--seed")) : gSeed;
 
     const auto &registry = lhr::StudyRegistry::instance();
     std::vector<const lhr::Study *> studies;
@@ -534,6 +546,370 @@ cmdCorun(const Args &args)
               << lhr::formatFixed(100.0 * r.llcShareA, 1)
               << "%\n  chip power "
               << lhr::formatFixed(r.powerW, 1) << " W\n";
+    return 0;
+}
+
+/**
+ * Log a raw power trace the way the paper's AVR stick does (§2.5):
+ * 50Hz ADC samples over the benchmark's phase behaviour, summarized,
+ * or with --csv the raw trace for plotting.
+ */
+int
+cmdPowerTrace(const Args &args)
+{
+    const lhr::Benchmark &bench =
+        benchArg(args.positional.empty() ? "gcc" : args.positional[0]);
+    lhr::Lab lab(gSeed, gSensor);
+    const auto cfg = lhr::stockConfig(lhr::processorById("i7 (45)"));
+
+    // Sample the execution's true phase-power waveform through a
+    // fresh calibrated channel, exactly as the harness does.
+    double duration = 0.0;
+    const auto meters = lab.runner().meterRun(cfg, bench, &duration);
+    const double meanTrueW =
+        meters.energyJ(lhr::MeterDomain::Package) / duration;
+    const auto series = lab.runner().phasePowerSeries(cfg, bench);
+
+    const lhr::PowerChannel channel(lhr::SensorVariant::A30, 99);
+    lhr::Rng calRng(100);
+    const auto cal = lhr::Calibration::calibrate(channel, calRng);
+    lhr::HallSession session(channel, cal);
+    lhr::PowerTraceLogger logger(session);
+
+    lhr::Rng rng(101);
+    const double logged = std::min(duration, 20.0);
+    const int samples = std::max(
+        32, static_cast<int>(logged * lhr::PowerChannel::sampleHz));
+    for (int i = 0; i < samples; ++i) {
+        const double t = i / lhr::PowerChannel::sampleHz;
+        const size_t k = static_cast<size_t>(i) * series.size() / samples;
+        logger.sample(t, series[k].total(), rng);
+    }
+
+    if (args.has("--csv")) {
+        logger.writeCsv(std::cout);
+        return 0;
+    }
+
+    std::cout << "Power trace of " << bench.name << " on "
+              << cfg.label() << " (" << logger.count()
+              << " samples @ 50Hz)\n\n";
+    lhr::TableWriter table;
+    table.addColumn("Statistic", lhr::TableWriter::Align::Left);
+    table.addColumn("Watts");
+    auto row = [&](const char *name, double value) {
+        table.beginRow();
+        table.cell(std::string(name));
+        table.cell(value, 2);
+    };
+    row("mean", logger.meanW());
+    row("min", logger.minW());
+    row("p5", logger.percentileW(5));
+    row("median", logger.percentileW(50));
+    row("p95", logger.percentileW(95));
+    row("max", logger.maxW());
+    row("metered true mean", meanTrueW);
+    table.print(std::cout);
+    std::cout << "\nRe-run with --csv for the raw trace.\n";
+    return 0;
+}
+
+/**
+ * Calibrate a Hall-effect channel against the reference current
+ * source and show the fit: the paper's §2.5 procedure (28 reference
+ * currents, linear fit, R^2 >= 0.999).
+ */
+int
+cmdCalibrate(const Args &args)
+{
+    const uint64_t seed = args.positional.empty()
+                              ? 42
+                              : seedArg("device-seed", args.positional[0]);
+
+    std::cout << "Calibrating an ACS714 +-5A channel (device seed "
+              << seed << ")\n\n";
+
+    const lhr::PowerChannel channel(lhr::SensorVariant::A5, seed);
+    lhr::Rng rng(seed ^ 0xCA11B8);
+    const auto cal = lhr::Calibration::calibrate(channel, rng);
+
+    std::cout << "Fit: amps = "
+              << lhr::formatFixed(cal.fit().slope, 6) << " * counts + "
+              << lhr::formatFixed(cal.fit().intercept, 4)
+              << "   (R^2 = " << lhr::formatFixed(cal.r2(), 6)
+              << ", gate " << lhr::formatFixed(lhr::Calibration::r2Gate, 3)
+              << ")\n\nResiduals across the current range:\n";
+
+    lhr::TableWriter table;
+    table.addColumn("True A");
+    table.addColumn("Decoded A");
+    table.addColumn("Error mA");
+    table.addColumn("Error %");
+    for (double amps = 0.4; amps <= 3.01; amps += 0.4) {
+        lhr::Summary decoded;
+        for (int i = 0; i < 256; ++i) {
+            decoded.add(cal.ampsFromCounts(lhr::PowerChannel::quantize(
+                channel.outputVolts(amps, rng.gaussian()))));
+        }
+        table.beginRow();
+        table.cell(amps, 2);
+        table.cell(decoded.mean(), 4);
+        table.cell(1000.0 * (decoded.mean() - amps), 1);
+        table.cell(100.0 * (decoded.mean() - amps) / amps, 2);
+    }
+    table.print(std::cout);
+
+    std::cout <<
+        "\nAt the 12V rail, 1 count ~= "
+        << lhr::formatFixed(cal.fit().slope * 12.0, 3)
+        << " W of quantization step.\n";
+    return 0;
+}
+
+/**
+ * Turbo Boost in the time domain: a sustained hot single-core load
+ * on the i7 boosts while the package is cool, then sheds the boost
+ * steps as the junction nears its limit — the dynamic behind §3.6's
+ * "temperature, power, and current conditions".
+ */
+int
+cmdThrottle(const Args &args)
+{
+    const double watts =
+        args.positional.empty()
+            ? 138.0
+            : realArg("watts", args.positional[0], "a number in 0..1000",
+                      0.0, 1000.0);
+    const long seconds = args.positional.size() > 1
+                             ? intArg("seconds", args.positional[1], 0,
+                                      86400)
+                             : 120;
+
+    const auto cfg = lhr::stockConfig(lhr::processorById("i7 (45)"));
+    lhr::ThermalThrottle throttle(cfg, 2, 8.0);
+
+    std::cout << "Sustained " << lhr::formatFixed(watts, 0)
+              << " W single-core load on " << cfg.label()
+              << " (throttle point "
+              << lhr::formatFixed(lhr::ThermalModel::throttleJunctionC,
+                                  0)
+              << " C)\n\n";
+
+    lhr::TableWriter table;
+    table.addColumn("t (s)");
+    table.addColumn("Junction C");
+    table.addColumn("Boost steps");
+    table.addColumn("Clock GHz");
+
+    double clock = cfg.clockGhz;
+    for (int t = 0; t <= seconds; ++t) {
+        clock = throttle.step(
+            [&](double f) {
+                // Power tracks clock roughly linearly near the top.
+                return watts * f / (cfg.clockGhz + 0.266);
+            },
+            1.0);
+        if (t % 10 == 0) {
+            table.beginRow();
+            table.cell(static_cast<long>(t));
+            table.cell(throttle.junctionC(), 1);
+            table.cell(static_cast<long>(throttle.currentSteps()));
+            table.cell(clock, 2);
+        }
+    }
+    table.print(std::cout);
+
+    std::cout <<
+        "\nBoost survives the cold start and is withdrawn as the\n"
+        "package saturates its thermal headroom; a cooler workload\n"
+        "(try 60 W) keeps both steps indefinitely.\n";
+    return 0;
+}
+
+/** What `machine` measures when given no definition file. */
+const char *const pentiumMDefinition = R"(
+# The machine the paper wished for: a Banias-class Pentium M.
+id          = PentiumM (130)
+model       = Pentium M 735 (Banias class)
+family      = Core
+node_nm     = 130
+cores       = 1
+smt         = 1
+llc_mb      = 1
+clock_ghz   = 1.7
+fmin_ghz    = 0.6
+transistors_m = 77
+die_mm2     = 83
+tdp_w       = 24.5
+dram        = DDR-400
+veff_min    = 0.96
+veff_max    = 1.48
+uncore_base_w = 2.0
+)";
+
+/**
+ * Measure a user-defined processor (a machine/custom.hh definition
+ * file, or the built-in Pentium M the paper could not isolate a rail
+ * for, §2.5) next to the study's Pentium 4 and Atom.
+ */
+int
+cmdMachine(const Args &args)
+{
+    std::unique_ptr<lhr::CustomProcessor> custom;
+    if (!args.positional.empty()) {
+        const std::string &path = args.positional[0];
+        std::ifstream file(path);
+        if (!file)
+            lhr::fatal("cannot read " + path);
+        custom = lhr::CustomProcessor::parse(file);
+    } else {
+        custom = lhr::CustomProcessor::parseString(pentiumMDefinition);
+    }
+    const lhr::ProcessorSpec &spec = custom->spec();
+
+    std::cout << "Measuring " << spec.model << " [" << spec.id
+              << "] against the study's nearest neighbours\n\n";
+
+    lhr::Lab lab(gSeed, gSensor);
+    lhr::TableWriter table;
+    table.addColumn("Processor", lhr::TableWriter::Align::Left);
+    table.addColumn("Benchmark", lhr::TableWriter::Align::Left);
+    table.addColumn("Time s");
+    table.addColumn("Power W");
+    table.addColumn("Energy J");
+
+    const std::vector<const lhr::ProcessorSpec *> machines = {
+        &lhr::processorById("Pentium4 (130)"),
+        &spec,
+        &lhr::processorById("Atom (45)"),
+    };
+    for (const char *name : {"gcc", "mcf", "hmmer"}) {
+        const auto &bench = lhr::benchmarkByName(name);
+        for (const auto *machine : machines) {
+            const auto &m =
+                lab.measure(lhr::stockConfig(*machine), bench);
+            table.beginRow();
+            table.cell(machine->id);
+            table.cell(bench.name);
+            table.cell(m.timeSec, 1);
+            table.cell(m.powerW, 2);
+            table.cell(m.energyJ(), 0);
+        }
+    }
+    table.print(std::cout);
+
+    std::cout <<
+        "\nAt 1.7GHz the mobile design matches or beats the 2.4GHz\n"
+        "Pentium 4 at well under half its power — the efficiency\n"
+        "lineage that became the Core microarchitecture.\n";
+    return 0;
+}
+
+/** One way of pairing jobs onto cores, with its summed slowdown. */
+struct Pairing
+{
+    std::vector<std::pair<int, int>> pairs;
+    double totalSlowdown;
+};
+
+double
+pairingCost(const std::vector<std::vector<double>> &penalty,
+            const std::vector<std::pair<int, int>> &pairs)
+{
+    double cost = 0.0;
+    for (const auto &[a, b] : pairs)
+        cost += penalty[a][b] + penalty[b][a];
+    return cost;
+}
+
+/** Exhaustive best/worst perfect matching over a small job set. */
+void
+searchPairings(const std::vector<std::vector<double>> &penalty,
+               std::vector<int> &remaining,
+               std::vector<std::pair<int, int>> &current, Pairing &best,
+               Pairing &worst)
+{
+    if (remaining.empty()) {
+        const double cost = pairingCost(penalty, current);
+        if (best.pairs.empty() || cost < best.totalSlowdown)
+            best = {current, cost};
+        if (worst.pairs.empty() || cost > worst.totalSlowdown)
+            worst = {current, cost};
+        return;
+    }
+    const int first = remaining.front();
+    for (size_t i = 1; i < remaining.size(); ++i) {
+        std::vector<int> next;
+        for (size_t j = 1; j < remaining.size(); ++j)
+            if (j != i)
+                next.push_back(remaining[j]);
+        current.emplace_back(first, remaining[i]);
+        searchPairings(penalty, next, current, best, worst);
+        current.pop_back();
+    }
+}
+
+/**
+ * Energy-aware co-location on the co-run interference model: pair six
+ * single-threaded jobs onto a two-core machine, and compare the best
+ * pairing with the worst and with a naive in-order one.
+ */
+int
+cmdColocate(const Args &)
+{
+    lhr::Lab lab(gSeed, gSensor);
+    lhr::CoRunner corunner(lab.runner());
+    const auto cfg = lhr::stockConfig(lhr::processorById("C2D (65)"));
+
+    const std::vector<const lhr::Benchmark *> jobs = {
+        &lhr::benchmarkByName("hmmer"),
+        &lhr::benchmarkByName("mcf"),
+        &lhr::benchmarkByName("gcc"),
+        &lhr::benchmarkByName("xalancbmk"),
+        &lhr::benchmarkByName("povray"),
+        &lhr::benchmarkByName("omnetpp"),
+    };
+
+    std::cout << "Pairing " << jobs.size()
+              << " jobs onto the two cores of " << cfg.label()
+              << "\n(cost = summed co-run slowdowns)\n\n";
+
+    const auto penalty = corunner.matrix(cfg, jobs);
+
+    std::vector<int> indices(jobs.size());
+    std::iota(indices.begin(), indices.end(), 0);
+    std::vector<std::pair<int, int>> current;
+    Pairing best, worst;
+    searchPairings(penalty, indices, current, best, worst);
+
+    std::vector<std::pair<int, int>> naive;
+    for (size_t i = 0; i + 1 < jobs.size(); i += 2)
+        naive.emplace_back(i, i + 1);
+
+    auto show = [&](const char *label,
+                    const std::vector<std::pair<int, int>> &pairs) {
+        std::cout << label << " (cost "
+                  << lhr::formatFixed(pairingCost(penalty, pairs), 3)
+                  << "):";
+        for (const auto &[a, b] : pairs)
+            std::cout << "  [" << jobs[a]->name << " + "
+                      << jobs[b]->name << "]";
+        std::cout << "\n";
+    };
+
+    show("Best pairing ", best.pairs);
+    show("Naive pairing", naive);
+    show("Worst pairing", worst.pairs);
+
+    std::cout << "\nInterference penalty avoided by scheduling: "
+              << lhr::formatFixed(
+                     100.0 * (worst.totalSlowdown - best.totalSlowdown) /
+                         worst.totalSlowdown,
+                     1)
+              << "% of the worst case.\nThe rule the matrix teaches: "
+                 "never waste two interference-immune\njobs (hmmer, "
+                 "povray) on each other — spread them against the\n"
+                 "aggressors.\n";
     return 0;
 }
 
@@ -939,6 +1315,11 @@ const Command commands[] = {
     {"counters", "<proc-id> <bench>", "", 2, 2, cmdCounters},
     {"rate", "<proc-id> <bench>", "", 2, 2, cmdRate},
     {"corun", "<proc-id> <bench-a> <bench-b>", "", 3, 3, cmdCorun},
+    {"power-trace", "[bench] [--csv]", "--csv", 0, 1, cmdPowerTrace},
+    {"calibrate", "[device-seed]", "", 0, 1, cmdCalibrate},
+    {"throttle", "[watts] [seconds]", "", 0, 2, cmdThrottle},
+    {"machine", "[definition-file]", "", 0, 1, cmdMachine},
+    {"colocate", "", "", 0, 0, cmdColocate},
     {"snapshot",
      "<file.csv> [--45nm] [--shard I/N] [--jobs N]\n"
      "           [--resume] [--checkpoint N]",
@@ -981,7 +1362,7 @@ main(int argc, char **argv)
     size_t next = 0;
     const Args global = parseArgs(tokens, next, "--seed= --sensor=", true);
     if (global.has("--seed"))
-        gSeed = seedArg(global.text("--seed"));
+        gSeed = seedArg("--seed", global.text("--seed"));
     if (global.has("--sensor")) {
         gSensor = lhr::parseSensorBackend(global.text("--sensor"));
         if (!gSensor)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Exit-code and error-path tests of the lhrlab command-line front
- * end and the example programs, run against the real binaries (their
+ * end and the quickstart example, run against the real binaries (their
  * directory baked in by CMake as LHR_EXAMPLE_DIR). The contract under
  * test: a command line that breaks lhrlab's one grammar (unknown
  * command or flag, missing or malformed value, wrong number of
@@ -254,6 +254,11 @@ TEST(Cli, EveryCommandRejectsUnknownFlagsAndSurplusArguments)
         {"compare", "compare /no/such/a.csv /no/such/b.csv 0.1", "extra"},
         {"serve", "serve --socket /nonexistent/s.sock", "extra"},
         {"loadgen", "loadgen --socket /nonexistent/s.sock", "extra"},
+        {"power-trace", "power-trace gcc --csv", "extra"},
+        {"calibrate", "calibrate 42", "extra"},
+        {"throttle", "throttle 100 10", "extra"},
+        {"machine", "machine /no/such/machine.def", "extra"},
+        {"colocate", "colocate", "extra"},
     };
 
     // The cases cover every command the usage text lists.
@@ -508,35 +513,36 @@ TEST(Cli, DeadlineBeyondTheCapExitsTwo)
 
 TEST(Cli, ExamplesRejectMistypedArgumentsWithFatal)
 {
-    // A typo'd argument to an example is a user error, not a bug: it
+    // A typo'd argument to the example is a user error, not a bug: it
     // must exit 1 with a fatal: line, neither abort with a panic nor
-    // run on a silently substituted 0.
+    // run on a silently substituted default.
+    for (const char *args : {"mcf junk", "nosuch"}) {
+        const CliResult r = runExample("quickstart", args);
+        EXPECT_EQ(r.exitCode, 1) << args << "\n" << r.output;
+        EXPECT_TRUE(mentions(r, "fatal: ")) << args << "\n" << r.output;
+    }
+}
+
+TEST(Cli, MistypedValuesExitTwoAndFailedLookupsExitOne)
+{
+    // A malformed value breaks the grammar (exit 2 with usage); a
+    // well-formed name the lab does not know, or a file it cannot
+    // read, is a failed lookup (exit 1 with a fatal: line).
     const struct
     {
-        const char *name;
         const char *args;
+        int exitCode;
+        const char *says;
     } cases[] = {
-        {"clock_energy_sweep", "'i7 (45)' banana"},
-        {"clock_energy_sweep", "'i9 (7)'"},
-        {"onchip_meters", "mcf 'i9 (7)'"},
-        {"onchip_meters", "nosuch"},
-        {"thermal_throttle", "banana"},
-        {"sensor_calibration", "xyz"},
-        {"power_trace", "gcc --cvs"},
-        {"quickstart", "mcf junk"},
-        {"design_space_pareto", "avg extra"},
-        {"custom_workload", "extra"},
-        {"colocation_scheduler", "--bogus"},
-        {"clock_energy_sweep", "'i7 (45)' 6 extra"},
-        {"onchip_meters", "mcf 'i7 (45)' extra"},
-        {"thermal_throttle", "100 10 extra"},
-        {"sensor_calibration", "42 extra"},
+        {"throttle banana", 2, "watts takes a number in 0..1000"},
+        {"throttle 100 -1", 2, "seconds: "},
+        {"calibrate xyz", 2, "malformed device-seed 'xyz'"},
+        {"power-trace nosuch", 1, "fatal: unknown benchmark 'nosuch'"},
+        {"machine /nonexistent", 1, "fatal: cannot read /nonexistent"},
     };
     for (const auto &c : cases) {
-        const CliResult r = runExample(c.name, c.args);
-        EXPECT_EQ(r.exitCode, 1) << c.name << " " << c.args << "\n"
-                                 << r.output;
-        EXPECT_TRUE(mentions(r, "fatal: ")) << c.name << " " << c.args
-                                            << "\n" << r.output;
+        const CliResult r = runCli(c.args);
+        EXPECT_EQ(r.exitCode, c.exitCode) << c.args << "\n" << r.output;
+        EXPECT_TRUE(mentions(r, c.says)) << c.args << "\n" << r.output;
     }
 }

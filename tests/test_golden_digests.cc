@@ -1,14 +1,17 @@
 /**
  * @file
- * Byte pins of lhrlab's sampled outputs: reruns the real binary for
- * each output named in tests/golden/digests.txt and compares the
- * FNV-1a 64 digest and byte length with the recorded ones. The three
- * outputs cover both sensor backends — the Hall-sampled paper grid,
- * the same grid forced onto RAPL, and pareto_history, whose server
- * eras sample through RAPL by default — so a sampler change that
- * moves one bit of either backend fails here. On a mismatch the
- * output is kept and its path printed, ready to diff against a
- * checkout that still matches.
+ * Byte pins of the lab's outputs: reruns the real lhrlab or
+ * quickstart binary for each output named in tests/golden/digests.txt
+ * and compares the FNV-1a 64 digest and byte length with the recorded
+ * ones. The sampled outputs cover both sensor backends — the
+ * Hall-sampled paper grid, the same grid forced onto RAPL, and
+ * pareto_history, whose server eras sample through RAPL by default —
+ * so a sampler change that moves one bit of either backend fails
+ * here. The rest pin the default output of every lhrlab command that
+ * was once an example program of its own, quickstart's two ways into
+ * the library, and the studies that print what three deleted examples
+ * printed. On a mismatch the output is kept and its path printed,
+ * ready to diff against a checkout that still matches.
  */
 
 #include <gtest/gtest.h>
@@ -82,17 +85,32 @@ hex64(uint64_t v)
 
 TEST(GoldenDigests, SampledOutputsMatchTheRecordedBytes)
 {
-    // How each recorded output is produced; OUT is the file it lands
-    // in (a command that prints to stdout is redirected there).
+    // How each recorded output is produced: a binary and its
+    // arguments. With toStdout false the output file's path is the
+    // last argument; otherwise stdout is redirected to it.
     const struct
     {
         const char *name;
-        const char *args;
+        const char *command;
         bool toStdout;
     } outputs[] = {
-        {"snapshot", "snapshot", false},
-        {"snapshot_rapl", "--sensor rapl snapshot", false},
-        {"pareto_history", "run pareto_history --format json", true},
+        {"snapshot", "lhrlab snapshot", false},
+        {"snapshot_rapl", "lhrlab --sensor rapl snapshot", false},
+        {"pareto_history", "lhrlab run pareto_history --format json",
+         true},
+        {"power_trace", "lhrlab power-trace", true},
+        {"power_trace_csv", "lhrlab power-trace gcc --csv", true},
+        {"calibrate", "lhrlab calibrate", true},
+        {"throttle", "lhrlab throttle", true},
+        {"machine", "lhrlab machine", true},
+        {"colocate", "lhrlab colocate", true},
+        {"quickstart", "quickstart", true},
+        {"quickstart_analytics", "quickstart my-analytics", true},
+        {"fig07", "lhrlab run fig07 --format json", true},
+        {"fig12", "lhrlab run fig12 --format json", true},
+        {"table5", "lhrlab run table5 --format json", true},
+        {"ablation_meters", "lhrlab run ablation_meters --format json",
+         true},
     };
 
     const auto digests = recordedDigests();
@@ -103,8 +121,8 @@ TEST(GoldenDigests, SampledOutputsMatchTheRecordedBytes)
 
         const std::string out =
             testing::TempDir() + "golden_digest_" + o.name;
-        const std::string cmd = std::string(LHR_EXAMPLE_DIR) +
-            "/lhrlab " + o.args + (o.toStdout ? " > " : " ") + out +
+        const std::string cmd = std::string(LHR_EXAMPLE_DIR) + "/" +
+            o.command + (o.toStdout ? " > " : " ") + out +
             (o.toStdout ? " 2>/dev/null" : " > /dev/null 2>&1");
         ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
 
@@ -113,7 +131,7 @@ TEST(GoldenDigests, SampledOutputsMatchTheRecordedBytes)
         const bool same = got.fnv == it->second.fnv &&
             got.bytes == it->second.bytes;
         EXPECT_TRUE(same)
-            << o.name << " (lhrlab " << o.args << ") changed: "
+            << o.name << " (" << o.command << ") changed: "
             << hex64(got.fnv) << " " << got.bytes << " bytes, recorded "
             << hex64(it->second.fnv) << " " << it->second.bytes
             << " bytes; output kept at " << out;
